@@ -16,6 +16,8 @@ trajectory):
 
 - batched ``fd`` gradients are >= 3x faster than the PR 1 looped path at
   the paper configuration;
+- the batched (vectorised) ``adjoint`` sweep is >= 3x faster than the
+  per-gate reference walk on the real network;
 - the batched engine matches the looped reference to <= 1e-8 for all four
   methods, real and complex.
 
@@ -154,7 +156,6 @@ def run_benchmarks() -> Dict:
         / seconds(variant, method, "batched")
         for variant in VARIANTS
         for method in GRADIENT_METHODS
-        if method != "adjoint"  # adjoint ignores the engine choice
     }
     worst_match = max(
         r["max_abs_diff_vs_looped"] for r in rows if r["kind"] == "engine_match"
@@ -194,13 +195,14 @@ def _gates_pass(payload: Dict) -> bool:
         summary["fd_gradient_speedup_batched_vs_looped"] >= SPEEDUP_FLOOR
         # The complex network must accelerate too (phases double P).
         and summary["engine_speedups"]["complex_fd"] >= SPEEDUP_FLOOR
+        and summary["engine_speedups"]["real_adjoint"] >= SPEEDUP_FLOOR
         and summary["engine_match_worst"] <= ENGINE_MATCH_TOL
     )
 
 
 def test_gradient_engine_benchmark():
-    """Perf-trajectory gate: batched >= 3x on fd (real and complex),
-    engine match <= 1e-8 everywhere."""
+    """Perf-trajectory gate: batched >= 3x on fd (real and complex) and
+    on the real adjoint, engine match <= 1e-8 everywhere."""
     payload = run_benchmarks()
     print()
     _emit(payload, os.environ.get("BENCH_GRADIENTS_JSON"))

@@ -10,17 +10,10 @@ This package separates network *structure* from *execution*:
   two-row kernels, the seed implementation's strategy);
 - :mod:`repro.backends.fused` — cached whole-network unitary applied as a
   single GEMM, plus the prefix/suffix gradient workspace;
-- :mod:`repro.backends.jit` — the gate loop compiled to machine code with
-  numba ``@njit(cache=True)`` kernels (``"numba"``; soft dependency —
-  registers always, raises a clear error at construction without numba);
-- :mod:`repro.backends.jax` — the program lowered to XLA (``"jax"``): a
-  scanned Givens sweep folds the unitary, batches run through a
-  ``vmap``-ped contraction, and the adjoint tape/sweep pair is jitted;
-  soft dependency gated exactly like numba;
 - :mod:`repro.backends.sharded` — wide batches column-scattered over a
   persistent multi-process :class:`~repro.parallel.pool.WorkerPool`
-  (``"sharded"`` / ``"sharded:K"`` / ``"sharded:K:numba"`` /
-  ``"sharded:K:jax"``), in-process delegate fallback for narrow ones;
+  (``"sharded"`` / ``"sharded:K"``), in-process fused fallback for
+  narrow ones;
 - :mod:`repro.backends.cached` — :class:`PrefixSuffixWorkspace`, the
   ``O(P)``-gate-work engine behind cached ``fd``/``central``/
   ``derivative`` gradients.
@@ -41,15 +34,12 @@ True
 from repro.backends.base import (
     Backend,
     available_backends,
-    backend_status,
     make_backend,
     register_backend,
     validate_backend_name,
 )
 from repro.backends.cached import PrefixSuffixWorkspace
 from repro.backends.fused import FusedBackend
-from repro.backends.jax import JaxBackend, JAX_AVAILABLE
-from repro.backends.jit import JitBackend, NUMBA_AVAILABLE
 from repro.backends.loop import LoopBackend
 from repro.backends.program import GateProgram, compile_program
 from repro.backends.sharded import ShardedBackend
@@ -59,16 +49,11 @@ __all__ = [
     "GateProgram",
     "compile_program",
     "available_backends",
-    "backend_status",
     "make_backend",
     "register_backend",
     "validate_backend_name",
     "LoopBackend",
     "FusedBackend",
-    "JitBackend",
-    "NUMBA_AVAILABLE",
-    "JaxBackend",
-    "JAX_AVAILABLE",
     "ShardedBackend",
     "PrefixSuffixWorkspace",
 ]

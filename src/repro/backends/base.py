@@ -7,7 +7,7 @@ backend and notifies it via :meth:`Backend.invalidate` when parameters
 change, so backends may cache parameter-derived artefacts (fused unitaries,
 prefix/suffix products) between calls.
 
-Five backends ship with the package:
+Three backends ship with the package:
 
 ``"loop"``
     :class:`~repro.backends.loop.LoopBackend` — the bit-exact reference:
@@ -17,26 +17,12 @@ Five backends ship with the package:
     network as one ``N x N`` unitary (cached per parameter set) and applies
     it as a single GEMM; also provides the prefix/suffix gradient workspace
     used to accelerate the ``fd``/``central``/``derivative`` methods.
-``"numba"``
-    :class:`~repro.backends.jit.JitBackend` — the gate loop lowered to
-    machine code: numba ``@njit(cache=True)`` kernels run the compiled
-    program directly (forward, inverse, tape, adjoint sweep).  Soft
-    dependency: registers unconditionally but raises a clear
-    :class:`BackendError` at construction when numba is not installed.
-``"jax"``
-    :class:`~repro.backends.jax.JaxBackend` — the program lowered to
-    XLA: a ``jax.lax.scan``-ned Givens sweep folds the unitary once per
-    parameter set, batches go through a ``vmap``-ped contraction, and
-    the adjoint tape/sweep pair runs jitted (float64 via
-    ``jax_enable_x64``).  Soft dependency like numba: always
-    registered, clear :class:`BackendError` install hint without jax.
 ``"sharded"``
     :class:`~repro.backends.sharded.ShardedBackend` — scatters wide
     ``(N, M)`` batches over a persistent multi-process
     :class:`~repro.parallel.pool.WorkerPool` in column shards, one fused
-    GEMM per worker; small batches fall through to an in-process delegate
-    (fused by default, ``"sharded:K:numba"`` / ``"sharded:K:jax"``
-    select the jitted backends for workers and delegate alike).
+    GEMM per worker; small batches fall through to an in-process
+    :class:`~repro.backends.fused.FusedBackend`.
 
 Select a backend at construction (``QuantumNetwork(..., backend="fused")``)
 or later via ``set_backend``; experiment configs and the CLI expose the same
@@ -62,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Backend",
     "available_backends",
-    "backend_status",
     "make_backend",
     "register_backend",
     "validate_backend_name",
@@ -82,30 +67,6 @@ class Backend(abc.ABC):
 
     #: Whether :meth:`gradient_workspace` returns a usable workspace.
     supports_cached_gradients: bool = False
-
-    #: Whether the backend provides compiled adjoint kernels — an
-    #: ``adjoint_tape(inputs) -> (output, row_tape)`` / ``adjoint_sweep
-    #: (tape, lam) -> grad`` pair the adjoint gradient method drives
-    #: instead of its numpy vectorised sweep (the ``"numba"`` and
-    #: ``"jax"`` backends set this).
-    supports_adjoint_kernels: bool = False
-
-    #: How to install the backend's optional dependency, or ``None``
-    #: for backends with no soft dependency.  Surfaced by
-    #: :func:`backend_status` and the ``repro backends`` CLI.
-    install_hint: Optional[str] = None
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether constructing this backend can succeed *right now*.
-
-        Registration is availability-independent (see
-        :func:`available_backends`); soft-dependency backends override
-        this with their import probe so tooling (the ``repro backends``
-        subcommand) can report missing extras without triggering the
-        construction-time :class:`BackendError`.
-        """
-        return True
 
     def __init__(self) -> None:
         self._network: Optional["QuantumNetwork"] = None
@@ -245,39 +206,12 @@ def register_backend(cls: Type[Backend]) -> Type[Backend]:
 def available_backends() -> List[str]:
     """Names accepted by :func:`make_backend` / ``set_backend``.
 
-    Registration is availability-independent: ``"numba"`` is always
-    listed, so selecting it without numba installed fails with that
-    backend's own install hint instead of "unknown backend".
-
     Examples
     --------
     >>> available_backends()
-    ['fused', 'jax', 'loop', 'numba', 'sharded']
+    ['fused', 'loop', 'sharded']
     """
     return sorted(_REGISTRY)
-
-
-def backend_status() -> Dict[str, Dict[str, Optional[str]]]:
-    """Availability report for every registered backend.
-
-    Maps each registry name to ``{"available": bool, "hint": ...}``
-    where ``hint`` is the backend's install hint (``None`` for backends
-    with no soft dependency).  This is what the ``repro backends``
-    subcommand prints — missing soft deps surface here instead of as a
-    run-time :class:`BackendError`.
-
-    Examples
-    --------
-    >>> status = backend_status()
-    >>> sorted(status) == available_backends()
-    True
-    >>> status["loop"]["available"], status["loop"]["hint"]
-    (True, None)
-    """
-    return {
-        name: {"available": cls.is_available(), "hint": cls.install_hint}
-        for name, cls in _REGISTRY.items()
-    }
 
 
 def _resolve_spec_string(spec: str, error_cls: Type[Exception]) -> Backend:
@@ -295,9 +229,7 @@ def _resolve_spec_string(spec: str, error_cls: Type[Exception]) -> Backend:
         return cls.from_spec(arg)
     except BackendError as exc:
         # Re-raise under the caller's error class (config layers pass
-        # e.g. ExperimentError) without losing the parse message — or
-        # the construction-time message of an unavailable backend
-        # (selecting "numba" without numba installed).
+        # e.g. ExperimentError) without losing the parse message.
         if error_cls is BackendError:
             raise
         raise error_cls(str(exc)) from None
@@ -324,7 +256,7 @@ def make_backend(spec: Union[str, Backend, Type[Backend]]) -> Backend:
     Traceback (most recent call last):
         ...
     repro.exceptions.BackendError: unknown backend 'quantum-annealer'; \
-available: ['fused', 'jax', 'loop', 'numba', 'sharded']
+available: ['fused', 'loop', 'sharded']
     >>> make_backend("loop:3")
     Traceback (most recent call last):
         ...

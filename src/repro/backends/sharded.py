@@ -14,25 +14,18 @@ the :class:`~repro.backends.base.Backend` protocol on top of
 - ``(N, M)`` blocks move through ``multiprocessing.shared_memory``, not
   pickles — each worker mutates its own column shard in place;
 - batches narrower than ``min_shard_columns`` fall through to an
-  in-process *delegate* backend (a 25-sample training iteration never
-  pays scatter overhead), which also serves the prefix/suffix gradient
-  workspace, so training on the ``sharded`` backend gets cached-speed
-  gradients for free.  The delegate is ``"fused"`` by default;
-  ``"numba"`` selects the jitted compiled-kernel backend
-  (:mod:`repro.backends.jit`) for the workers and the narrow-batch
-  fallback alike;
+  in-process :class:`~repro.backends.fused.FusedBackend` (a 25-sample
+  training iteration never pays scatter overhead), which also serves the
+  prefix/suffix gradient workspace, so training on the ``sharded``
+  backend gets cached-speed gradients for free;
 - worker processes spawn lazily on the first wide batch and are shared
   by every :meth:`spawn`-ed sibling (``QuantumAutoencoder`` runs ``U_C``
   and ``U_R`` on one pool), pinned to single-threaded BLAS.
 
-Registry spellings: ``"sharded"`` (affinity-derived worker count,
-fused delegate), ``"sharded:K"`` (exactly ``K`` workers) and
-``"sharded[:K]:numba"`` / ``"sharded[:K]:jax"`` / ``"sharded[:K]:fused"``
-(explicit delegate; the worker count and delegate may appear in either
-order), accepted
-everywhere a backend name is (``QuantumNetwork(...,
-backend="sharded:4")``, ``CodecSpec``, ``Trainer``, ``--backend
-sharded:4:numba``).
+Registry spellings: ``"sharded"`` (affinity-derived worker count) and
+``"sharded:K"`` (exactly ``K`` workers), accepted everywhere a backend
+name is (``QuantumNetwork(..., backend="sharded:4")``, ``CodecSpec``,
+``Trainer``, ``--backend sharded:4``).
 """
 
 from __future__ import annotations
@@ -41,8 +34,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import Backend, make_backend, register_backend
+from repro.backends.base import Backend, register_backend
 from repro.backends.cached import PrefixSuffixWorkspace
+from repro.backends.fused import FusedBackend
 from repro.exceptions import BackendError, GateError
 
 __all__ = ["ShardedBackend"]
@@ -50,10 +44,6 @@ __all__ = ["ShardedBackend"]
 #: Default narrowest batch worth scattering: below this, pool dispatch
 #: (process hop + two shared-memory copies) costs more than the GEMM.
 DEFAULT_MIN_SHARD_COLUMNS = 1024
-
-#: In-process backends a shard worker (and the narrow-batch fallback)
-#: may run; all compile the program once and serve gradient workspaces.
-SHARD_DELEGATES = ("fused", "numba", "jax")
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +56,7 @@ _WORKER_NETWORKS: dict = {}
 
 def _forward_block(
     block: np.ndarray,
-    struct: Tuple[int, int, bool, bool, str],
+    struct: Tuple[int, int, bool, bool],
     params: np.ndarray,
     inverse: bool,
 ) -> None:
@@ -74,20 +64,19 @@ def _forward_block(
 
     Runs inside a :class:`~repro.parallel.pool.WorkerPool` worker via
     ``scatter_gather``; ``block`` is the worker's private contiguous
-    copy of its column shard, mutated in place by the delegate backend
-    named in ``struct`` (one fused GEMM, or one jitted gate sweep).
+    copy of its column shard, mutated in place by one fused GEMM.
     """
     from repro.network.quantum_network import QuantumNetwork
 
     net = _WORKER_NETWORKS.get(struct)
     if net is None:
-        dim, num_layers, descending, allow_phase, delegate = struct
+        dim, num_layers, descending, allow_phase = struct
         net = QuantumNetwork(
             dim,
             num_layers,
             descending=descending,
             allow_phase=allow_phase,
-            backend=delegate,
+            backend="fused",
         )
         _WORKER_NETWORKS[struct] = net
     if not np.array_equal(net.get_flat_params(), params):
@@ -138,18 +127,12 @@ class ShardedBackend(Backend):
         registry spelling ``"sharded:K"`` maps here.
     min_shard_columns:
         Narrowest batch dispatched to the pool; anything smaller runs on
-        the in-process delegate.
+        the in-process fused backend.
     pool:
         An existing :class:`~repro.parallel.pool.WorkerPool` to execute
         on (shared with e.g. a pool-attached
         :class:`~repro.api.session.InferenceSession`); default builds a
         private one lazily.
-    delegate:
-        In-process backend for narrow batches and gradient workspaces,
-        and the backend each worker compiles for its shards —
-        ``"fused"`` (default), ``"numba"`` or ``"jax"``.  Selecting a
-        soft-dependency delegate without its package installed raises
-        here, in the parent process.
 
     Examples
     --------
@@ -159,8 +142,6 @@ class ShardedBackend(Backend):
     ShardedBackend(name='sharded', workers=2, bound)
     >>> net.backend.worker_count
     2
-    >>> net.backend.delegate_name
-    'fused'
     """
 
     name = "sharded"
@@ -171,7 +152,6 @@ class ShardedBackend(Backend):
         num_workers: Optional[int] = None,
         min_shard_columns: int = DEFAULT_MIN_SHARD_COLUMNS,
         pool=None,
-        delegate: str = "fused",
     ) -> None:
         super().__init__()
         if num_workers is not None and num_workers < 1:
@@ -182,65 +162,29 @@ class ShardedBackend(Backend):
             raise BackendError(
                 f"min_shard_columns must be >= 1, got {min_shard_columns}"
             )
-        if delegate not in SHARD_DELEGATES:
-            raise BackendError(
-                f"sharded delegate must be one of {list(SHARD_DELEGATES)}, "
-                f"got {delegate!r}"
-            )
         self._min_shard_columns = int(min_shard_columns)
-        self._delegate_name = delegate
         self._slot = _PoolSlot(
             None if num_workers is None else int(num_workers), pool
         )
-        # In-process delegate: narrow batches, gradient workspaces and
-        # unitary inspection all run here, bound to the same network.
-        # Built eagerly so an unavailable delegate (numba not installed)
-        # fails at selection time with its own install hint.
-        self._local = make_backend(delegate)
+        # In-process fused backend: narrow batches, gradient workspaces
+        # and unitary inspection all run here, bound to the same network.
+        self._local = FusedBackend()
 
     @classmethod
     def from_spec(cls, arg: str) -> "ShardedBackend":
-        """Parse the ``"sharded:K[:delegate]"`` registry spellings.
-
-        ``arg`` is everything after the first colon, itself
-        colon-separated: at most one integer worker count and at most
-        one delegate name (``fused``/``numba``/``jax``), in either
-        order —
-        ``"sharded:4"``, ``"sharded:numba"``, ``"sharded:4:numba"`` and
-        ``"sharded:numba:4"`` all parse.
-        """
-        workers: Optional[int] = None
-        delegate: Optional[str] = None
-        for part in str(arg).split(":"):
-            try:
-                count = int(part)
-            except ValueError:
-                count = None
-            if count is not None:
-                if workers is not None:
-                    raise BackendError(
-                        f"sharded spec gives two worker counts "
-                        f"('sharded:{arg}')"
-                    )
-                if count < 1:
-                    raise BackendError(
-                        f"sharded worker count must be >= 1, got "
-                        f"'sharded:{arg}'"
-                    )
-                workers = count
-            elif part in SHARD_DELEGATES:
-                if delegate is not None:
-                    raise BackendError(
-                        f"sharded spec gives two delegates ('sharded:{arg}')"
-                    )
-                delegate = part
-            else:
-                raise BackendError(
-                    f"sharded spec part {part!r} is neither a worker count "
-                    f"nor a delegate in {list(SHARD_DELEGATES)} "
-                    f"('sharded:{arg}')"
-                )
-        return cls(num_workers=workers, delegate=delegate or "fused")
+        """Parse the ``"sharded:K"`` registry spelling (``K`` workers)."""
+        try:
+            workers = int(arg)
+        except ValueError:
+            raise BackendError(
+                f"sharded worker count must be an integer, got "
+                f"'sharded:{arg}'"
+            ) from None
+        if workers < 1:
+            raise BackendError(
+                f"sharded worker count must be >= 1, got 'sharded:{arg}'"
+            )
+        return cls(num_workers=workers)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -252,16 +196,13 @@ class ShardedBackend(Backend):
 
     def spawn(self) -> "ShardedBackend":
         """A fresh instance executing on the *same* worker pool."""
-        clone = ShardedBackend(
-            min_shard_columns=self._min_shard_columns,
-            delegate=self._delegate_name,
-        )
+        clone = ShardedBackend(min_shard_columns=self._min_shard_columns)
         clone._slot = self._slot
         return clone
 
     def invalidate(self) -> None:
         # Parameters ride with every shard task (workers compare and
-        # refresh), so only the in-process delegate caches to drop.
+        # refresh), so only the in-process backend caches to drop.
         local = getattr(self, "_local", None)
         if local is not None:
             local.invalidate()
@@ -286,11 +227,6 @@ class ShardedBackend(Backend):
     def min_shard_columns(self) -> int:
         return self._min_shard_columns
 
-    @property
-    def delegate_name(self) -> str:
-        """Registry name of the in-process / worker-side delegate."""
-        return self._delegate_name
-
     def close(self) -> None:
         """Shut the shared worker pool down (idempotent; lazily respawns
         on the next wide batch)."""
@@ -299,15 +235,9 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _struct(self) -> Tuple[int, int, bool, bool, str]:
+    def _struct(self) -> Tuple[int, int, bool, bool]:
         net = self.network
-        return (
-            net.dim,
-            net.num_layers,
-            net.descending,
-            net.allow_phase,
-            self._delegate_name,
-        )
+        return (net.dim, net.num_layers, net.descending, net.allow_phase)
 
     def forward_inplace(self, data: np.ndarray, inverse: bool = False) -> None:
         if data.shape[1] < self._min_shard_columns:
@@ -336,19 +266,6 @@ class ShardedBackend(Backend):
     def gradient_workspace(self, inputs: np.ndarray) -> PrefixSuffixWorkspace:
         return self._local.gradient_workspace(inputs)
 
-    @property
-    def supports_adjoint_kernels(self) -> bool:  # type: ignore[override]
-        """Adjoint kernels come from the delegate: ``sharded[:K]:numba``
-        and ``sharded[:K]:jax`` serve fully jitted tape/sweep pairs,
-        fused delegates do not."""
-        return self._local.supports_adjoint_kernels
-
-    def adjoint_tape(self, data: np.ndarray):
-        return self._local.adjoint_tape(data)
-
-    def adjoint_sweep(self, tape: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._local.adjoint_sweep(tape, lam)
-
     def __repr__(self) -> str:
         bound = "bound" if self._network is not None else "unbound"
         workers = (
@@ -357,12 +274,4 @@ class ShardedBackend(Backend):
             else self._slot.pool.processes
         )
         shown = "auto" if workers is None else workers
-        extra = (
-            ""
-            if self._delegate_name == "fused"
-            else f", delegate={self._delegate_name!r}"
-        )
-        return (
-            f"ShardedBackend(name={self.name!r}, workers={shown}{extra}, "
-            f"{bound})"
-        )
+        return f"ShardedBackend(name={self.name!r}, workers={shown}, {bound})"

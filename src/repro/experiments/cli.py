@@ -168,26 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
             "caches the\n"
             "                 network unitary and the prefix/suffix gradient "
             "workspace;\n"
-            "                 'numba' runs the gate loop as jitted compiled "
-            "kernels\n"
-            "                 (optional dependency: pip install numba); "
-            "'jax' lowers the\n"
-            "                 program to XLA with vmapped batches and jitted "
-            "adjoints\n"
-            "                 (optional dependency: pip install jax); "
-            "'sharded[:K][:numba|:jax]'\n"
-            "                 scatters wide (N, M) batches over K worker "
-            "processes\n"
-            "                 (shared-memory column shards; see "
+            "                 'sharded[:K]' scatters wide (N, M) batches "
+            "over K worker\n"
+            "                 processes (shared-memory column shards; see "
             "docs/sharding.md).\n"
-            "                 'repro backends' lists availability and "
-            "install hints.\n"
             "  --grad-engine  how gradients are driven: 'batched' (default) "
             "stacks each\n"
             "                 layer's parameter perturbations into single "
             "einsums and runs\n"
-            "                 the adjoint sweep vectorised (jitted on "
-            "--backend numba);\n"
+            "                 the adjoint sweep vectorised;\n"
             "                 'looped' is the one-parameter/one-gate "
             "bit-exact reference.\n"
             "                 See docs/gradients.md.\n"
@@ -218,10 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "execution backend: 'loop' is the bit-exact reference, "
                 "'fused' caches the network unitary and prefix/suffix "
-                "gradient products (fast), 'numba' jit-compiles the gate "
-                "loop (needs the optional numba package), 'jax' runs it "
-                "under XLA with a fused jitted train step (needs the "
-                "optional jax package), 'sharded[:K]' scatters wide "
+                "gradient products (fast), 'sharded[:K]' scatters wide "
                 "batches over K worker processes"
             ),
         )
@@ -408,13 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "against it")
     pdi.add_argument("--binary", action="store_true",
                      help="write raw P5 instead of ASCII P2")
-
-    pb = sub.add_parser(
-        "backends",
-        help="list registered execution backends and their availability",
-    )
-    pb.add_argument("--output", type=str, default=None,
-                    help="write the availability report to this JSON file")
 
     # Checkpoint-consuming commands can override the archived execution
     # backend (e.g. run a 'loop'-trained model on 'sharded:4' workers).
@@ -669,34 +648,6 @@ def _run_decompress_image(args: argparse.Namespace) -> dict:
     return results
 
 
-def _run_backends(args: argparse.Namespace) -> dict:
-    """Print each registered backend's availability and install hint.
-
-    A missing soft dependency (numba, jax) otherwise only surfaces as a
-    ``BackendError`` when the backend is first selected; this makes the
-    situation inspectable up front (and scriptable via ``--output``).
-    """
-    from repro.backends import backend_status
-
-    status = backend_status()
-    width = max(len(name) for name in status)
-    for name in sorted(status):
-        entry = status[name]
-        state = "available" if entry["available"] else "missing"
-        line = f"{name:<{width}}  {state}"
-        if not entry["available"] and entry["hint"]:
-            line += f"  ({entry['hint']})"
-        print(line)
-    missing = sorted(n for n, e in status.items() if not e["available"])
-    if missing:
-        print(f"\n{len(missing)} backend(s) need an optional dependency: "
-              f"{', '.join(missing)}")
-    return {
-        name: {"available": entry["available"], "hint": entry["hint"]}
-        for name, entry in status.items()
-    }
-
-
 def _run_serve(args: argparse.Namespace) -> dict:
     import asyncio
 
@@ -799,7 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.experiment in ("train", "compress", "decompress", "serve",
                            "serve-bench", "compress-image",
-                           "decompress-image", "backends"):
+                           "decompress-image"):
         handler = {
             "train": _run_train,
             "compress": _run_compress,
@@ -808,7 +759,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "serve-bench": _run_serve_bench,
             "compress-image": _run_compress_image,
             "decompress-image": _run_decompress_image,
-            "backends": _run_backends,
         }[args.experiment]
         try:
             payload = handler(args)
@@ -817,7 +767,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # summary like the experiment commands do.
             output = getattr(args, "output", None)
             if output and args.experiment in ("train", "serve",
-                                              "serve-bench", "backends"):
+                                              "serve-bench"):
                 save_results(payload, output)
                 print(f"\nresults written to {output}")
         except (ReproError, FileNotFoundError) as exc:

@@ -255,6 +255,11 @@ class CompressedImage:
         )
         n = tile_size * tile_size
         offset = _HEADER.size
+        if len(data) < offset + 4 * n:
+            raise ImagingError(
+                f"container quantization table truncated: {n} steps need "
+                f"{4 * n} bytes, {len(data) - offset} present"
+            )
         steps = np.frombuffer(data, dtype="<f4", count=n, offset=offset)
         offset += 4 * n
         table = QuantizationTable(steps=steps.copy(), quality=quality)

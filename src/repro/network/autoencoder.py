@@ -189,8 +189,7 @@ class QuantumAutoencoder:
         Enable the complex (trainable ``alpha``) extension.
     backend:
         Execution backend for both networks (``"loop"``, ``"fused"``,
-        ``"numba"``, ``"sharded"``/``"sharded:K[:numba]"`` — see
-        :mod:`repro.backends`);
+        ``"sharded"``/``"sharded:K"`` — see :mod:`repro.backends`);
         switchable later via :meth:`set_backend`.  ``U_R`` always runs a
         :meth:`~repro.backends.Backend.spawn` of ``U_C``'s backend, so
         backends with shared resources (the sharded worker pool) serve

@@ -14,9 +14,8 @@ reverse-mode (adjoint) differentiation at ``O(1)`` extra memory per gate.
 Execution is delegated to a pluggable backend (:mod:`repro.backends`):
 ``"loop"`` (the bit-exact per-gate reference), ``"fused"`` (cached
 whole-network unitary applied as one GEMM, with prefix/suffix-cached
-gradients), ``"numba"`` (the gate loop jit-compiled to machine code) or
-``"sharded"`` (wide batches scattered over worker processes).  Select at
-construction or via :meth:`set_backend`.
+gradients) or ``"sharded"`` (wide batches scattered over worker
+processes).  Select at construction or via :meth:`set_backend`.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
     """Worker task: per-realization ``(loss, grad)`` for ``[lo, hi)``.
 
     Each realization evaluates the *full* batch at ``params + eps_r``
-    through the in-worker delegate backend, so the values depend only on
+    through the in-worker ``fused`` backend, so the values depend only on
     the realization index — never on the shard boundaries.
     """
     (
@@ -181,7 +181,6 @@ def noisy_loss_and_gradient(
             network.num_layers,
             network.descending,
             network.allow_phase,
-            reducer._delegate_for(network),
         )
         params = network.get_flat_params()
         keep = (

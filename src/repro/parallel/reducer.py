@@ -1,7 +1,7 @@
 """Data-parallel gradient reduction: :class:`GradientReducer`.
 
-PRs 4-5 made *inference* scale with cores (the ``sharded`` backend, the
-jitted kernels); this module does the same for *training*.  A
+The ``sharded`` backend makes *inference* scale with cores; this module
+does the same for *training*.  A
 :class:`GradientReducer` owns (or borrows) a persistent
 :class:`~repro.parallel.pool.WorkerPool` and evaluates
 :func:`repro.training.gradients.loss_and_gradient` in parallel:
@@ -35,8 +35,7 @@ the method's rounding floor (``<= 1e-10`` gated by
 ``benchmarks/bench_training.py``).
 
 Workers rebuild each network once from a structure tuple (the
-``backends/sharded.py`` idiom) on an in-process delegate backend
-(``fused``, or ``numba`` when the parent trains on it) and refresh
+``backends/sharded.py`` idiom) on the ``fused`` backend and refresh
 parameters only when they change, so a training loop pays compile costs
 once, not per iteration.
 """
@@ -57,9 +56,6 @@ __all__ = [
     "validate_parallel_spec",
     "resolve_parallel_workers",
 ]
-
-#: In-worker delegate backends (compile once, serve gradient workspaces).
-_REDUCER_DELEGATES = ("fused", "numba")
 
 #: Shard axis spellings accepted by :meth:`GradientReducer.loss_and_gradient`.
 _SHARD_MODES = ("batch", "params")
@@ -146,22 +142,22 @@ def tree_reduce(values: Sequence):
 # worker side (module-level: picklable by reference)
 # ----------------------------------------------------------------------
 #: Per-worker-process cache of rebuilt networks keyed by structure;
-#: one entry per distinct (dim, layers, order, phase, delegate).
+#: one entry per distinct (dim, layers, order, phase).
 _WORKER_NETWORKS: dict = {}
 
 
-def _worker_network(struct: Tuple[int, int, bool, bool, str]):
+def _worker_network(struct: Tuple[int, int, bool, bool]):
     net = _WORKER_NETWORKS.get(struct)
     if net is None:
         from repro.network.quantum_network import QuantumNetwork
 
-        dim, num_layers, descending, allow_phase, delegate = struct
+        dim, num_layers, descending, allow_phase = struct
         net = QuantumNetwork(
             dim,
             num_layers,
             descending=descending,
             allow_phase=allow_phase,
-            backend=delegate,
+            backend="fused",
         )
         _WORKER_NETWORKS[struct] = net
     return net
@@ -362,15 +358,6 @@ class GradientReducer:
     # the parallel loss_and_gradient
     # ------------------------------------------------------------------
     @staticmethod
-    def _delegate_for(network) -> str:
-        """In-worker backend mirroring the parent's execution choice."""
-        backend = getattr(network, "backend", None)
-        name = getattr(backend, "delegate_name", None) or getattr(
-            backend, "name", None
-        )
-        return name if name in _REDUCER_DELEGATES else "fused"
-
-    @staticmethod
     def _default_shard(method: str) -> str:
         """fd/central difference per-shard base losses under batch
         sharding (cancellation noise ``~ulp(loss)/delta``), so they shard
@@ -449,7 +436,6 @@ class GradientReducer:
             network.num_layers,
             network.descending,
             network.allow_phase,
-            self._delegate_for(network),
         )
         params = network.get_flat_params()
         keep = (

@@ -30,6 +30,7 @@ shapes/dtypes), so a ``CompressedBatch`` survives the socket unchanged.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -70,6 +71,10 @@ HEADER = struct.Struct("!HBBQII")
 _ERROR_HEAD = struct.Struct("!H")
 _ARRAY_HEAD = struct.Struct("!BB")
 _DIM = struct.Struct("!I")
+
+#: numpy's dimension limit; a deeper shape could never be reshaped.
+_MAX_NDIM = 64
+_MAX_INTP = int(np.iinfo(np.intp).max)
 
 
 class FrameType:
@@ -192,6 +197,10 @@ def decode_arrays(payload: bytes) -> List[np.ndarray]:
         dtype = _DTYPES.get(code)
         if dtype is None:
             raise ProtocolError(f"unknown dtype code {code}")
+        if ndim > _MAX_NDIM:
+            raise ProtocolError(
+                f"array has {ndim} dimensions, at most {_MAX_NDIM} allowed"
+            )
         if len(payload) < offset + ndim * _DIM.size:
             raise ProtocolError("truncated shape fields")
         shape = tuple(
@@ -199,15 +208,20 @@ def decode_arrays(payload: bytes) -> List[np.ndarray]:
             for i in range(ndim)
         )
         offset += ndim * _DIM.size
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes < 0 or len(payload) < offset + nbytes:
+        # Python ints: an int64 product of huge dims can wrap to 0.
+        size = math.prod(shape)
+        nbytes = size * dtype.itemsize
+        if len(payload) < offset + nbytes:
             raise ProtocolError(
                 f"array body truncated: need {nbytes} bytes for shape "
                 f"{shape}, have {len(payload) - offset}"
             )
+        # numpy bounds the byte size of the non-zero dims even for an
+        # empty array, so (0, 2**32 - 1, 2**32 - 1) cannot be built.
+        if math.prod(d for d in shape if d) * dtype.itemsize > _MAX_INTP:
+            raise ProtocolError(f"array shape {shape} is too large for numpy")
         arr = np.frombuffer(
-            payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-            offset=offset,
+            payload, dtype=dtype, count=size, offset=offset
         ).reshape(shape)
         out.append(arr.copy())  # decouple from the receive buffer
         offset += nbytes

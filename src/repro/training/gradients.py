@@ -23,14 +23,13 @@ against target amplitudes:
     instead of ``O(P^2)``) and is bit-identical to ``"derivative"`` up
     to rounding.  Supports complex (``allow_phase``) networks: the sweep
     pulls the adjoint back through ``G^dagger`` and reads off both the
-    ``theta`` and ``alpha`` gradients from the same tape.  Since the jit
-    PR the sweep is *vectorised* by default (``engine="batched"``):
-    stacked per-layer GEMMs via the prefix/suffix workspace's
-    cross-layer recurrence on any backend, or the fully compiled
-    tape/sweep kernel pair on the ``numba`` backend; the per-gate Python
-    walk over :meth:`QuantumNetwork.forward_trace` remains as the
-    ``engine="looped"`` reference (``benchmarks/bench_jit.py`` gates the
-    vectorised sweep at >= 3x over it).
+    ``theta`` and ``alpha`` gradients from the same tape.  The sweep is
+    *vectorised* by default (``engine="batched"``): stacked per-layer
+    GEMMs via the prefix/suffix workspace's cross-layer recurrence on
+    any backend; the per-gate Python walk over
+    :meth:`QuantumNetwork.forward_trace` remains as the
+    ``engine="looped"`` reference (``benchmarks/bench_gradients.py``
+    gates the vectorised sweep at >= 3x over it).
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
@@ -61,12 +60,11 @@ selected by ``engine`` (CLI ``--grad-engine``):
     The reference drive: one parameter at a time through the same
     workspace, and the per-gate tape walk for ``adjoint``.  Bit-exact
     anchor for the batched path; agreement is ``<= 1e-8`` for every
-    method (``benchmarks/bench_gradients.py`` and
-    ``benchmarks/bench_jit.py`` gate this plus ``>= 3x`` speedups at the
-    paper's configuration).
+    method (``benchmarks/bench_gradients.py`` gates this plus ``>= 3x``
+    speedups at the paper's configuration).
 
 The engine choice selects the drive for workspace-backed evaluations and
-for the adjoint sweep (vectorised/jitted vs the per-gate reference walk);
+for the adjoint sweep (vectorised vs the per-gate reference walk);
 only the re-execution fallback of ``fd``/``central``/``derivative``
 ignores it.  See ``docs/gradients.md`` for the full method x backend x
 engine matrix.
@@ -532,30 +530,6 @@ def _adjoint_vectorized(
     )
 
 
-def _adjoint_jit(
-    network: QuantumNetwork,
-    backend,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-) -> Tuple[float, np.ndarray]:
-    """Compiled adjoint: jitted tape-recording forward + jitted sweep.
-
-    Drives a backend's compiled kernel pair — the ``numba`` backend's
-    (:meth:`~repro.backends.jit.JitBackend.adjoint_tape` /
-    :meth:`~repro.backends.jit.JitBackend.adjoint_sweep`) or the
-    ``jax`` backend's scanned equivalents — so the whole ``O(P M)``
-    tape and backward walk run in machine code; only the loss and its
-    adjoint are evaluated in numpy.
-    """
-    out, tape = backend.adjoint_tape(inputs)
-    base, lam = _adjoint_loss_and_lambda(
-        out, tape.dtype, targets, loss, projection
-    )
-    return base, backend.adjoint_sweep(tape, lam)
-
-
 def _loss_and_grad_adjoint(
     network: QuantumNetwork,
     inputs: np.ndarray,
@@ -574,25 +548,15 @@ def _loss_and_grad_adjoint(
     moving to the previous gate.  Complex (``allow_phase``) networks read
     both the ``theta`` and ``alpha`` gradients off the same tape.
 
-    Three drives compute that same contraction:
+    Two drives compute that same contraction:
 
     - ``engine="looped"`` — the per-gate Python walk below, the
       bit-exact reference;
-    - ``engine="batched"`` (default) on the ``numba`` or ``jax``
-      backends — the jitted tape/sweep kernel pair
-      (:func:`_adjoint_jit`);
-    - ``engine="batched"`` elsewhere — the numpy vectorised sweep
+    - ``engine="batched"`` (default) — the numpy vectorised sweep
       (:func:`_adjoint_vectorized`), stacked per-layer GEMMs via the
       prefix/suffix workspace's cross-layer recurrence.
     """
     if engine == "batched":
-        backend = getattr(network, "backend", None)
-        if backend is not None and getattr(
-            backend, "supports_adjoint_kernels", False
-        ):
-            return _adjoint_jit(
-                network, backend, inputs, targets, loss, projection
-            )
         return _adjoint_vectorized(network, inputs, targets, loss, projection)
     trace = network.forward_trace(np.asarray(inputs))
     base, lam = _adjoint_loss_and_lambda(
@@ -720,7 +684,7 @@ def loss_and_gradient(
     engine:
         How the gradient is driven: ``"batched"`` (the default —
         layer-stacked einsums for the workspace methods, the
-        vectorised/jitted sweep for ``"adjoint"``) or ``"looped"`` (one
+        vectorised sweep for ``"adjoint"``) or ``"looped"`` (one
         parameter / one gate at a time, the bit-exact reference).
         Ignored only by the re-execution fallback of
         ``fd``/``central``/``derivative`` (networks whose backend lacks

@@ -341,9 +341,6 @@ class Trainer:
         self.noise_trajectories = int(noise_trajectories)
         self._reducer = None
         self._iteration = 0
-        # Fused jax train steps, keyed per (network, optimizer) pair for
-        # the duration of one train() call — see _fused_step_for.
-        self._fused_steps: dict = {}
         # Eq. (7) defines the gradient on the *sum* loss (no normalisation);
         # Algorithm 1's pseudo-code divides by M*N, but with eta = 0.01 that
         # normalised form cannot reach the near-zero losses Fig. 4c shows in
@@ -387,7 +384,6 @@ class Trainer:
             else None
         )
         self._reducer = reducer
-        self._fused_steps = {}
         self._iteration = 0
         try:
             if self.schedule == "joint":
@@ -400,7 +396,6 @@ class Trainer:
                 )
         finally:
             self._reducer = None
-            self._fused_steps = {}
             if reducer is not None:
                 reducer.close()
         out = autoencoder.forward_encoded(encoded)
@@ -425,35 +420,6 @@ class Trainer:
             return float(encoded.dim * encoded.num_samples)
         return 1.0
 
-    def _fused_step_for(self, network, optimizer, projection):
-        """The fused jax train step for this (network, optimizer), or
-        ``None`` when any piece rules it out.
-
-        Only the ``adjoint`` method under the default/batched engine on
-        the ``jax`` backend qualifies (and never under a gradient
-        reducer — shard workers run the generic path).  The decision is
-        cached per pair for the duration of one ``train()`` call; the
-        step objects hold strong references, so the ``id`` keys stay
-        valid.  A ``False`` entry records an ineligible pair.
-        """
-        if (
-            self._reducer is not None
-            or self._noise_jitter_active()
-            or self.gradient_method != "adjoint"
-            or self.grad_engine not in (None, "batched")
-        ):
-            return None
-        key = (id(network), id(optimizer))
-        step = self._fused_steps.get(key)
-        if step is None:
-            from repro.training.jax_step import maybe_fused_step
-
-            step = maybe_fused_step(
-                network, optimizer, projection, self._update_loss
-            )
-            self._fused_steps[key] = step if step is not None else False
-        return step or None
-
     def _noise_jitter_active(self) -> bool:
         """True when gradient steps must average over jitter realizations."""
         return self.noise is not None and self.noise.theta_sigma > 0.0
@@ -467,9 +433,6 @@ class Trainer:
         projection,
         stream: int = 0,
     ) -> tuple[float, float]:
-        fused = self._fused_step_for(network, optimizer, projection)
-        if fused is not None:
-            return fused.run(inputs, targets)
         if self._noise_jitter_active():
             from repro.noise.training import noisy_loss_and_gradient
 

@@ -1,11 +1,14 @@
 """CLI lifecycle tests: train / compress / decompress / serve-bench,
 --version and exit-code handling."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.api import Codec
 from repro.data.binary_images import paper_dataset
+from repro.exceptions import BackendError
 from repro.experiments.cli import main
 from repro.io.results_io import load_results, save_results
 
@@ -60,6 +63,30 @@ class TestExitCodes:
             "--input", str(bad), "--output", str(tmp_path / "c.json"),
         ]) == 1
         assert "'X'" in capsys.readouterr().err
+
+    def test_checkpoint_naming_an_unknown_backend_is_an_error(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """A checkpoint archived on a backend this build does not ship
+        (here ``numba``) fails with the registry's message, no traceback."""
+        with np.load(checkpoint) as archive:
+            meta = json.loads(archive["meta"].tobytes().decode())
+            params = archive["params"]
+        meta["backend"] = "numba"
+        meta["extra"]["spec"]["backend"] = "numba"
+        stale = tmp_path / "stale.npz"
+        np.savez(
+            stale,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            params=params,
+        )
+        with pytest.raises(BackendError, match="unknown backend 'numba'"):
+            Codec.load(stale)
+        assert main([
+            "compress", "--checkpoint", str(stale),
+            "--output", str(tmp_path / "codes.json"),
+        ]) == 1
+        assert "unknown backend 'numba'" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -37,7 +37,7 @@ ENGINE_TOL = {
     "fd": 1e-8,
     "central": 1e-10,
     "derivative": 1e-12,
-    # Batched adjoint is the vectorised/jitted sweep, looped the per-gate
+    # Batched adjoint is the vectorised sweep, looped the per-gate
     # reference walk — exact methods both, agreeing at rounding level.
     "adjoint": 1e-12,
 }

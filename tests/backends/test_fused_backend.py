@@ -21,13 +21,7 @@ def make_net(dim=5, layers=3, seed=2, **kwargs):
 
 class TestRegistry:
     def test_available(self):
-        assert available_backends() == [
-            "fused",
-            "jax",
-            "loop",
-            "numba",
-            "sharded",
-        ]
+        assert available_backends() == ["fused", "loop", "sharded"]
 
     def test_make_by_name(self):
         assert isinstance(make_backend("fused"), FusedBackend)

@@ -9,7 +9,12 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.backends import ShardedBackend, make_backend, validate_backend_name
+from repro.backends import (
+    FusedBackend,
+    ShardedBackend,
+    make_backend,
+    validate_backend_name,
+)
 from repro.backends.sharded import _PoolSlot
 from repro.exceptions import BackendError, GateError
 from repro.network import QuantumAutoencoder, QuantumNetwork
@@ -51,9 +56,12 @@ class TestSpecParsing:
         assert validate_backend_name("SHARDED:2") == "sharded:2"
 
     @pytest.mark.parametrize("bad", ["sharded:x", "sharded:", "sharded:0",
-                                     "sharded:-1"])
+                                     "sharded:-1", "sharded:2:3",
+                                     "sharded:2:numba", "sharded:fused",
+                                     "sharded:3:fused", "sharded:turbo",
+                                     "sharded:fused:fused"])
     def test_bad_worker_count_rejected(self, bad):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="worker count"):
             make_backend(bad)
 
     def test_validate_uses_caller_error_class(self):
@@ -61,6 +69,15 @@ class TestSpecParsing:
 
         with pytest.raises(ExperimentError):
             validate_backend_name("sharded:zero", ExperimentError)
+
+    def test_in_process_backend_is_fused(self):
+        backend = make_backend("sharded:2")
+        assert isinstance(backend._local, FusedBackend)
+        assert isinstance(backend.spawn()._local, FusedBackend)
+
+    def test_constructor_takes_no_delegate(self):
+        with pytest.raises(TypeError):
+            ShardedBackend(num_workers=2, delegate="fused")
 
     def test_constructor_validation(self):
         with pytest.raises(BackendError):
@@ -202,7 +219,7 @@ class TestHigherLayerWiring:
 
     def test_trainer_runs_on_sharded_backend(self, rng):
         """Narrow training batches fall through to the in-process fused
-        delegate — same losses, no worker processes spawned."""
+        backend — same losses, no worker processes spawned."""
         from repro.training.trainer import Trainer
 
         def train(backend):

@@ -9,6 +9,7 @@ from repro.experiments.config import PaperConfig
 from repro.network import QuantumAutoencoder, QuantumNetwork
 from repro.parallel.batch import chunked_forward
 from repro.parallel.sweep import run_sweep, sweep_grid
+from repro.training.optimizers import Adam, GradientDescent, MomentumGD
 from repro.training.trainer import Trainer
 
 
@@ -106,7 +107,7 @@ class TestAutoencoderWiring:
 
 
 class TestTrainerWiring:
-    @pytest.mark.parametrize("method", ["fd", "derivative"])
+    @pytest.mark.parametrize("method", ["fd", "derivative", "adjoint"])
     def test_fused_training_matches_loop(self, method):
         X = np.array(
             [[1.0, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
@@ -132,6 +133,34 @@ class TestTrainerWiring:
             loop_result.autoencoder.uc.get_flat_params(),
             fused_result.autoencoder.uc.get_flat_params(),
             atol=1e-6,
+        )
+
+    @pytest.mark.parametrize("optimizer", [
+        lambda: GradientDescent(0.05),
+        lambda: MomentumGD(0.05, momentum=0.9),
+        lambda: Adam(0.05),
+    ], ids=["gd", "momentum", "adam"])
+    def test_fused_adjoint_matches_loop_per_optimizer(self, optimizer):
+        """Every optimizer takes the one generic step on every backend."""
+        X = np.abs(np.random.default_rng(1).normal(size=(6, 4))) + 0.1
+
+        def train(backend):
+            ae = QuantumAutoencoder(4, 2, 2, 2).initialize(
+                rng=np.random.default_rng(0)
+            )
+            trainer = Trainer(
+                iterations=4, gradient_method="adjoint", backend=backend,
+                optimizer_factory=optimizer,
+            )
+            return trainer.train(ae, X)
+
+        loop_result = train("loop")
+        fused_result = train("fused")
+        assert fused_result.history.num_iterations == 4
+        assert np.allclose(
+            loop_result.autoencoder.uc.get_flat_params(),
+            fused_result.autoencoder.uc.get_flat_params(),
+            atol=1e-9,
         )
 
     def test_trainer_applies_backend(self):
@@ -182,6 +211,16 @@ class TestExperimentWiring:
     def test_cli_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--backend", "cuda"])
+
+    @pytest.mark.parametrize("name", ["fused", "loop", "sharded"])
+    def test_cli_accepts_every_registered_backend(self, name):
+        args = build_parser().parse_args(["fig4", "--backend", name])
+        assert args.backend == name
+
+    def test_cli_has_no_backends_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["backends"])
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
 
 class TestGradEngineWiring:

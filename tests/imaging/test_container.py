@@ -98,10 +98,14 @@ class TestMalformed:
         with pytest.raises(ImagingError, match="truncated"):
             CompressedImage.from_bytes(b"RIMG2\x02")
 
-    def test_truncated_payload(self, rng):
-        data = _transform_blob(rng).to_bytes()
-        with pytest.raises(ImagingError):
-            CompressedImage.from_bytes(data[:-3])
+    @pytest.mark.parametrize("blob", [_transform_blob, _quantum_blob])
+    def test_truncated_payload(self, rng, blob):
+        """Every proper prefix — header, step table, entropy stream —
+        is rejected with ImagingError, never a bare numpy error."""
+        data = blob(rng).to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(ImagingError):
+                CompressedImage.from_bytes(data[:cut])
 
     def test_trailing_bytes_rejected(self, rng):
         data = _transform_blob(rng).to_bytes() + b"xx"

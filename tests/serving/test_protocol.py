@@ -172,6 +172,29 @@ class TestMalformedInput:
         with pytest.raises(ProtocolError, match="dtype"):
             decode_arrays(payload)
 
+    def test_too_many_dimensions_rejected(self):
+        ndim = 65  # one past numpy's limit
+        payload = bytes([1]) + struct.pack("!BB", ord("d"), ndim) + \
+            struct.pack("!I", 1) * ndim + b"\x00" * 8
+        with pytest.raises(ProtocolError, match="dimensions"):
+            decode_arrays(payload)
+
+    def test_wrapping_element_count_rejected(self):
+        """(2**31, 2**31, 4) wraps an int64 product to 0 elements; the
+        body-length check must still see the true size."""
+        payload = bytes([1]) + struct.pack("!BB", ord("d"), 3) + \
+            struct.pack("!III", 2**31, 2**31, 4)
+        with pytest.raises(ProtocolError, match="truncated"):
+            decode_arrays(payload)
+
+    def test_empty_array_with_oversized_dims_rejected(self):
+        """Zero elements need no body, but numpy still refuses a shape
+        whose non-zero dims overflow its size limit."""
+        payload = bytes([1]) + struct.pack("!BB", ord("d"), 3) + \
+            struct.pack("!III", 0, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(ProtocolError, match="too large"):
+            decode_arrays(payload)
+
     def test_trailing_bytes_rejected(self):
         payload = encode_arrays([np.zeros(2)]) + b"\x00"
         with pytest.raises(ProtocolError, match="trailing"):

@@ -1,6 +1,6 @@
 """The vectorised adjoint sweep vs the per-gate reference walk.
 
-Since the jit PR, ``method="adjoint"`` with the default
+``method="adjoint"`` with the default
 ``engine="batched"`` pulls the loss adjoint back through stacked
 per-layer GEMMs (the prefix/suffix workspace's cross-layer recurrence)
 instead of walking gates in Python; ``engine="looped"`` keeps the

@@ -2,8 +2,8 @@
 
 The perf trajectory of this repo lives in the JSON the gated benchmarks
 emit (``bench_backends``, ``bench_gradients``, ``bench_serving``,
-``bench_sharding``, ``bench_jit``, ``bench_training``, ``bench_noise`` —
-each a standalone ``main(argv) -> exit code`` script writing a payload).  Before this tool
+``bench_sharding``, ``bench_training``, ``bench_noise`` — each a
+standalone ``main(argv) -> exit code`` script writing a payload).  Before this tool
 each produced its own artifact; now one invocation runs the whole
 directory and merges everything into ``BENCH_<rev>.json`` (``<rev>`` =
 short git revision), so each PR leaves exactly one comparable snapshot
@@ -22,7 +22,7 @@ Two benchmark flavours are discovered automatically:
 Usage::
 
     PYTHONPATH=src python tools/bench_all.py                  # all benches
-    PYTHONPATH=src python tools/bench_all.py --select jit sharding
+    PYTHONPATH=src python tools/bench_all.py --select gradients sharding
     PYTHONPATH=src python tools/bench_all.py --gates-only     # CI set
     PYTHONPATH=src python tools/bench_all.py --out-dir bench-artifacts
     PYTHONPATH=src python tools/bench_all.py --list
