@@ -3,8 +3,9 @@
 Training mutates parameters every iteration, so the execution stack is
 built around cache *invalidation*.  Serving is the opposite regime: the
 parameters are frozen, so the whole pipeline ``decode ∘ U_R P1 U_C ∘
-encode`` (Eqs. 1-4) can be folded **once** into dense operators via the
-fused backend and every served batch becomes a single GEMM:
+encode`` (Eqs. 1-4) can be folded **once** into dense operators by the
+closed-form mesh fold (:mod:`repro.backends.fold`) and every served batch
+becomes a single GEMM:
 
 - ``encode_op = U_C[keep, :]``           (``d x N``) — amplitudes to codes;
 - ``decode_op = U_R[:, keep]``           (``N x d``) — codes to outputs;
@@ -29,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.api.codec import CompressedBatch
-from repro.backends.fused import FusedBackend
+from repro.backends.fold import fold, mesh_layers
 from repro.encoding.amplitude import AmplitudeCodec, decode_batch
 from repro.exceptions import DimensionError, ServingError
 from repro.network.autoencoder import (
@@ -39,16 +40,6 @@ from repro.network.autoencoder import (
 from repro.parallel.batch import chunked_apply
 
 __all__ = ["InferenceSession"]
-
-
-def _frozen_unitary(network) -> np.ndarray:
-    """Materialise a network's dense unitary without touching its backend.
-
-    A throwaway :class:`FusedBackend` bound to the live network assembles
-    the same cached matrix the ``"fused"`` execution path uses, whatever
-    backend the network itself runs on.
-    """
-    return FusedBackend().bind(network).unitary()
 
 
 class InferenceSession:
@@ -116,8 +107,11 @@ class InferenceSession:
         self._keep = autoencoder.projection.keep.copy()
         self._codec = AmplitudeCodec(self._dim)
         self._chunk_size = int(chunk_size)
-        uc_u = _frozen_unitary(autoencoder.uc)
-        ur_u = _frozen_unitary(autoencoder.ur)
+        # The live networks' dense unitaries, folded directly from their
+        # parameters whatever backend they run on.
+        uc, ur = autoencoder.uc, autoencoder.ur
+        uc_u = fold(mesh_layers(uc, uc.get_flat_params()).layers)
+        ur_u = fold(mesh_layers(ur, ur.get_flat_params()).layers)
         self._encode_op = np.ascontiguousarray(uc_u[self._keep, :])
         self._decode_op = np.ascontiguousarray(ur_u[:, self._keep])
         self._pipeline_op = self._decode_op @ self._encode_op
@@ -163,7 +157,7 @@ class InferenceSession:
             STREAM_UC,
             STREAM_UR,
             realization_rng,
-            sample_mesh_matrix,
+            sample_mesh_matrices,
         )
 
         uc_params = np.asarray(
@@ -177,19 +171,20 @@ class InferenceSession:
         count = (
             self._noise_trajectories if self._noise.theta_sigma > 0.0 else 1
         )
-        for r in range(count):
-            uc_r = sample_mesh_matrix(
-                autoencoder.uc,
-                uc_params,
-                self._noise,
-                realization_rng(self._noise_seed, 0, r, STREAM_UC),
-            )
-            ur_r = sample_mesh_matrix(
-                autoencoder.ur,
-                ur_params,
-                self._noise,
-                realization_rng(self._noise_seed, 0, r, STREAM_UR),
-            )
+        seed = self._noise_seed
+        uc_mats = sample_mesh_matrices(
+            autoencoder.uc,
+            uc_params,
+            self._noise,
+            [realization_rng(seed, 0, r, STREAM_UC) for r in range(count)],
+        )
+        ur_mats = sample_mesh_matrices(
+            autoencoder.ur,
+            ur_params,
+            self._noise,
+            [realization_rng(seed, 0, r, STREAM_UR) for r in range(count)],
+        )
+        for uc_r, ur_r in zip(uc_mats, ur_mats):
             enc = np.ascontiguousarray(uc_r[self._keep, :])
             enc.flags.writeable = False
             ur_r.flags.writeable = False

@@ -8,6 +8,9 @@ This package separates network *structure* from *execution*:
   name registry (``available_backends`` / ``make_backend``);
 - :mod:`repro.backends.loop` — the bit-exact reference backend (per-gate
   two-row kernels, the seed implementation's strategy);
+- :mod:`repro.backends.fold` — the closed-form chain fold: every layer
+  unitary from one vectorised recurrence, batched over noise
+  realizations too;
 - :mod:`repro.backends.fused` — cached whole-network unitary applied as a
   single GEMM, plus the prefix/suffix gradient workspace;
 - :mod:`repro.backends.sharded` — wide batches column-scattered over a

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.backends.fold import MeshLayers, mesh_layers
 from repro.backends.program import GateProgram
 from repro.exceptions import BackendError, GradientError
 from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
@@ -140,15 +141,19 @@ class PrefixSuffixWorkspace:
         The network's compiled :class:`GateProgram`.
     inputs:
         ``(N, M)`` input batch.
+    mesh:
+        The network's chain recurrence at its current parameters
+        (:func:`repro.backends.fold.mesh_layers`), when the caller already
+        holds it — the fused backend passes its cached fold's; ``None``
+        runs the recurrence here.
 
     Notes
     -----
     The workspace is valid for exactly one ``(parameters, inputs)`` pair;
-    build a fresh one per gradient evaluation.  For the standard
-    uniformly-ascending/descending mode chains the three artefacts are
+    build a fresh one per gradient evaluation.  The three artefacts are
     built with ``O(num_layers)`` GEMMs plus ``O(N)`` short vector
-    recurrences (see :meth:`_build_vectorized`); arbitrary gate orders
-    fall back to the per-gate reference sweep.
+    recurrences (see :meth:`_build_vectorized`); :meth:`_build_reference`
+    is the per-gate sweep the tests compare that construction against.
 
     Examples
     --------
@@ -173,6 +178,7 @@ class PrefixSuffixWorkspace:
         network: "QuantumNetwork",
         program: GateProgram,
         inputs: np.ndarray,
+        mesh: Optional[MeshLayers] = None,
     ) -> None:
         arr = np.asarray(inputs)
         if arr.ndim != 2 or arr.shape[0] != program.dim:
@@ -184,40 +190,19 @@ class PrefixSuffixWorkspace:
         self.dtype = dtype
         self.num_thetas = program.num_thetas
         self.num_parameters = program.num_parameters
-
-        params = network.get_flat_params()
-        thetas = params[: self.num_thetas]
-        alphas = (
-            params[self.num_thetas :]
-            if program.allow_phase
-            else np.zeros(self.num_thetas)
-        )
-        self._thetas = thetas
-        self._alphas = alphas
+        if mesh is None:
+            mesh = mesh_layers(program, network.get_flat_params())
+        self._thetas = mesh.thetas
+        self._alphas = mesh.alphas
         self._gate_of_param = program.gate_for_parameter()
-
-        orientation = self._chain_orientation()
-        if orientation is None:
-            self._build_reference(arr)
-        else:
-            self._build_vectorized(arr, descending=orientation == "desc")
+        self._build_vectorized(arr, mesh)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _chain_orientation(self) -> Optional[str]:
-        """``"asc"``/``"desc"`` for uniform adjacent-mode chains, else None."""
-        prog = self.program
-        n, num_layers = prog.dim, prog.num_layers
-        per_layer = np.arange(n - 1)
-        if np.array_equal(prog.modes, np.tile(per_layer, num_layers)):
-            return "asc"
-        if np.array_equal(prog.modes, np.tile(per_layer[::-1], num_layers)):
-            return "desc"
-        return None
-
     def _build_reference(self, arr: np.ndarray) -> None:
-        """Per-gate traced forward + reverse sweep (any gate order)."""
+        """Per-gate traced forward + reverse sweep: the test oracle for
+        :meth:`_build_vectorized` (works for any gate order)."""
         program, dtype = self.program, self.dtype
         thetas, alphas = self._thetas, self._alphas
         n, m = arr.shape
@@ -265,62 +250,23 @@ class PrefixSuffixWorkspace:
             s_mat[:, k + 1] = -s * col_k + c * col_k1
         self.suffix_cols = suffix_cols
 
-    def _build_vectorized(self, arr: np.ndarray, descending: bool) -> None:
-        """Layer-batched construction for uniform adjacent-mode chains.
+    def _build_vectorized(self, arr: np.ndarray, mesh: MeshLayers) -> None:
+        """Layer-batched construction from the mesh's chain recurrence.
 
-        Inside one chain layer, gate ``j`` only sees rows the preceding
-        gates have finished with, so the whole layer's action on a basis
-        vector collapses to a first-order recurrence in ``j``.  Running
-        that recurrence *across all layers at once* yields every layer
-        unitary in ``O(N)`` vectorised steps; the layer inputs, prefix
+        The layer unitaries and recurrence columns come from
+        :func:`repro.backends.fold.mesh_layers`; the layer inputs, prefix
         rows and suffix columns then follow from ``O(num_layers)`` GEMMs
-        — no per-gate Python work anywhere.
+        and the same in-layer recurrences — no per-gate Python work
+        anywhere.
         """
         program, dtype = self.program, self.dtype
+        descending = program.descending
         n, m = arr.shape
         num_layers = program.num_layers
         total = program.num_gates
         g_per_layer = n - 1
-
-        th = self._thetas.reshape(num_layers, g_per_layer)
-        c, s = np.cos(th), np.sin(th)
-        gdtype = np.complex128 if program.allow_phase else np.float64
-        if program.allow_phase:
-            al = self._alphas.reshape(num_layers, g_per_layer)
-            phase = np.cos(al) + 1j * np.sin(al)
-            pc, ps = phase * c, phase * s
-        else:
-            pc, ps = c, s
-
-        if not descending:
-            # w_j := (G_{N-2} ... G_j) e_j, so w_{N-1} = e_{N-1} and
-            # w_j = pc_j e_j + ps_j w_{j+1}.  Column j of W holds w_j.
-            w_cols = np.zeros((num_layers, n, n), dtype=gdtype)
-            w_cols[:, n - 1, n - 1] = 1.0
-            for j in range(n - 2, -1, -1):
-                w_cols[:, j, j] = pc[:, j]
-                w_cols[:, j + 1 :, j] = ps[:, j, None] * w_cols[:, j + 1 :, j + 1]
-            # Layer unitary: col 0 = w_0; col j = -s_{j-1} e_{j-1} + c_{j-1} w_j.
-            layer_u = w_cols.copy()
-            layer_u[:, :, 1:] *= c[:, None, :]
-            rows = np.arange(g_per_layer)
-            layer_u[:, rows, rows + 1] = -s
-        else:
-            # u_k := (G_0 ... G_{k-1}) e_k, so u_0 = e_0 and
-            # u_k = c_{k-1} e_k - s_{k-1} u_{k-1}.  Column k of Uu holds u_k.
-            u_cols = np.zeros((num_layers, n, g_per_layer), dtype=gdtype)
-            u_cols[:, 0, 0] = 1.0
-            for k in range(1, g_per_layer):
-                u_cols[:, k, k] = c[:, k - 1]
-                u_cols[:, :k, k] = -s[:, k - 1, None] * u_cols[:, :k, k - 1]
-            # Layer unitary: col j = pc_j u_j + ps_j e_{j+1} (j < N-1);
-            # col N-1 = -s_{N-2} u_{N-2} + c_{N-2} e_{N-1}.
-            layer_u = np.zeros((num_layers, n, n), dtype=gdtype)
-            layer_u[:, :, : n - 1] = u_cols * pc[:, None, :]
-            rows = np.arange(g_per_layer)
-            layer_u[:, rows + 1, rows] = ps
-            layer_u[:, :, n - 1] = -s[:, n - 2, None] * u_cols[:, :, n - 2]
-            layer_u[:, n - 1, n - 1] += c[:, n - 2]
+        c, s, pc, ps = mesh.c, mesh.s, mesh.pc, mesh.ps
+        layer_u = mesh.layers
 
         # Forward chain: one GEMM per layer records every layer input.
         states = np.empty((num_layers + 1, n, m), dtype=dtype)
@@ -369,11 +315,11 @@ class PrefixSuffixWorkspace:
         s_mat = np.eye(n, dtype=dtype)
         for p in range(num_layers - 1, -1, -1):
             if not descending:
-                sw = s_mat @ w_cols[p]
+                sw = s_mat @ mesh.cols[p]
                 sf[p, :, :, 0] = s_mat[:, : n - 1].T
                 sf[p, :, :, 1] = sw[:, 1:].T
             else:
-                su = s_mat @ u_cols[p]
+                su = s_mat @ mesh.cols[p]
                 sf[p, :, :, 0] = su.T[::-1]
                 sf[p, :, :, 1] = s_mat[:, 1:].T[::-1]
             s_mat = s_mat @ layer_u[p]

@@ -6,17 +6,22 @@ perturbative gradient methods the parameters are fixed across many passes,
 so the whole network can be *fused* once into a single ``N x N`` unitary
 ``U = G_P ... G_1`` and every subsequent pass becomes one BLAS GEMM
 ``U @ X`` (``U^dagger @ X`` for the inverse) — ``O(N^2 M)`` flops with no
-per-gate Python overhead.
+per-gate Python overhead.  The unitary itself comes from the closed-form
+chain fold of :mod:`repro.backends.fold`: every layer unitary from one
+``O(N)`` vectorised recurrence, then one matmul per layer.
 
 The cache is validated against the network's *current* flat parameter
 vector (not just the :meth:`invalidate` notification), so even direct
 mutation of ``layer.thetas`` is picked up on the next pass.  The backend
-also exposes per-layer unitaries (:meth:`FusedBackend.layer_unitaries`) and
-the prefix/suffix gradient workspace used by
-:mod:`repro.training.gradients` to turn ``O(P^2)`` finite-difference
-training into ``O(P)`` gate work — and, through the workspace's batched
-methods, into ``O(num_layers)`` batched contractions per gradient when
-the ``"batched"`` engine drives it (see ``docs/gradients.md``).
+keeps the per-layer unitaries of that fold
+(:meth:`FusedBackend.layer_unitaries`) and hands them, with the
+recurrence columns, to the prefix/suffix gradient workspace used by
+:mod:`repro.training.gradients` whenever the parameters still match — so
+a training step folds each parameter set once.  The workspace turns
+``O(P^2)`` finite-difference training into ``O(P)`` gate work and,
+through its batched methods, into ``O(num_layers)`` batched contractions
+per gradient when the ``"batched"`` engine drives it (see
+``docs/gradients.md``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from repro.backends.base import Backend, register_backend
 from repro.backends.cached import PrefixSuffixWorkspace
-from repro.simulator.gates import apply_givens_batch
+from repro.backends.fold import MeshLayers, fold, mesh_layers
 from repro.exceptions import GateError
 
 __all__ = ["FusedBackend"]
@@ -38,8 +43,9 @@ class FusedBackend(Backend):
     """Whole-network unitary materialisation with parameter-set caching.
 
     Semantics match the loop backend to rounding (~1e-15): the fused
-    unitary is assembled with the same two-row kernels, only the
-    application to the batch is reassociated into one matrix product.
+    unitary is the closed-form product of the layer unitaries (see
+    :mod:`repro.backends.fold`), and its application to the batch is one
+    matrix product instead of a gate-by-gate sweep.
     """
 
     name = "fused"
@@ -47,80 +53,52 @@ class FusedBackend(Backend):
 
     def __init__(self) -> None:
         super().__init__()
+        self._mesh: Optional[MeshLayers] = None
         self._unitary: Optional[np.ndarray] = None
-        self._layer_unitaries: Optional[List[np.ndarray]] = None
-        self._snapshot: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
+        self._mesh = None
         self._unitary = None
-        self._layer_unitaries = None
-        self._snapshot = None
 
-    def _is_real(self) -> bool:
-        return all(layer.is_real for layer in self.network.layers)
+    def _cached_mesh(self, params: np.ndarray) -> Optional[MeshLayers]:
+        """The cached fold's layers if they were built from ``params``."""
+        mesh = self._mesh
+        if mesh is not None and np.array_equal(params, mesh.params):
+            return mesh
+        return None
 
-    def _refresh(self) -> None:
-        """Rebuild the fused unitary unless the parameter set is unchanged."""
+    def _refresh(self) -> np.ndarray:
+        """The fused unitary, refolded unless the parameter set is unchanged."""
         params = self.network.get_flat_params()
-        if self._unitary is not None and np.array_equal(
-            params, self._snapshot
-        ):
-            return
-        prog = self.program
-        dtype = np.float64 if self._is_real() else np.complex128
-        u = np.eye(prog.dim, dtype=dtype)
-        # Parameter values come from the flat vector via the program's
-        # index columns — the GateProgram contract, no per-gate object
-        # traversal.
-        for g in range(prog.num_gates):
-            k = int(prog.modes[g])
-            alpha = (
-                float(params[prog.alpha_index[g]]) if prog.allow_phase else 0.0
-            )
-            apply_givens_batch(
-                u, k, float(params[prog.theta_index[g]]), alpha=alpha
-            )
-        self._unitary = u
-        self._layer_unitaries = None  # rebuilt lazily on request
-        self._snapshot = params
+        if self._cached_mesh(params) is None:
+            mesh = mesh_layers(self.program, params)
+            self._unitary = fold(mesh.layers)
+            self._mesh = mesh
+        assert self._unitary is not None
+        return self._unitary
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def unitary(self) -> np.ndarray:
         """The cached whole-network matrix ``G_P ... G_1`` (a copy)."""
-        self._refresh()
-        assert self._unitary is not None
-        return self._unitary.copy()
+        return self._refresh().copy()
 
     def layer_unitaries(self) -> List[np.ndarray]:
-        """Per-layer ``N x N`` unitaries, layer 0 first (copies).
-
-        Their right-to-left product equals :meth:`unitary`.  Built lazily
-        (inspection only) so training's per-iteration cache rebuilds pay
-        for the fused unitary alone.
-        """
+        """Per-layer ``N x N`` unitaries of the cached fold, layer 0 first
+        (copies).  Their right-to-left product equals :meth:`unitary`."""
         self._refresh()
-        if self._layer_unitaries is None:
-            dtype = self._unitary.dtype if self._unitary is not None else None
-            layer_us = []
-            for layer in self.network.layers:
-                lu = np.eye(self.program.dim, dtype=dtype)
-                layer.apply_inplace(lu)
-                layer_us.append(lu)
-            self._layer_unitaries = layer_us
-        return [lu.copy() for lu in self._layer_unitaries]
+        assert self._mesh is not None
+        return [lu.copy() for lu in self._mesh.layers]
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def forward_inplace(self, data: np.ndarray, inverse: bool = False) -> None:
-        self._refresh()
-        u = self._unitary
-        assert u is not None
+        u = self._refresh()
         if np.iscomplexobj(u) and not np.iscomplexobj(data):
             # Parity with the loop kernel's contract for phase-bearing
             # networks on real buffers.
@@ -138,4 +116,11 @@ class FusedBackend(Backend):
     # gradients
     # ------------------------------------------------------------------
     def gradient_workspace(self, inputs: np.ndarray) -> PrefixSuffixWorkspace:
-        return PrefixSuffixWorkspace(self.network, self.program, inputs)
+        """The prefix/suffix workspace, built on the cached fold's layers
+        when the parameters still match (a miss runs the recurrence
+        without forming the product — noisy training misses on every
+        realization)."""
+        mesh = self._cached_mesh(self.network.get_flat_params())
+        return PrefixSuffixWorkspace(
+            self.network, self.program, inputs, mesh=mesh
+        )

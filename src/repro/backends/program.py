@@ -53,6 +53,11 @@ class GateProgram:
     alpha_index:
         ``(G,)`` int64 — flat index of the gate's ``alpha``, or ``-1``
         for real (phase-free) networks.
+    descending:
+        Whether every layer applies its chain in descending mode order
+        (``N-2, ..., 0``; the reconstruction network) rather than
+        ascending; :mod:`repro.backends.fold` reads the chain direction
+        from here.
 
     Examples
     --------
@@ -73,6 +78,7 @@ class GateProgram:
     layer_index: np.ndarray
     theta_index: np.ndarray
     alpha_index: np.ndarray
+    descending: bool = False
 
     def __post_init__(self) -> None:
         g = self.modes.shape[0]
@@ -157,4 +163,5 @@ def compile_program(network: "QuantumNetwork") -> GateProgram:
         layer_index=layer_index,
         theta_index=theta_index,
         alpha_index=alpha_index,
+        descending=network.descending,
     )

@@ -18,12 +18,14 @@ Format history:
 from __future__ import annotations
 
 import json
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import SerializationError
+from repro.exceptions import ReproError, SerializationError
 from repro.network.autoencoder import QuantumAutoencoder
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
@@ -60,6 +62,38 @@ def _read_path(path: PathLike) -> Path:
         return p
     alt = _npz_path(p)
     return alt if alt.exists() else p
+
+
+#: What numpy and zipfile raise on a truncated or bit-flipped archive.
+_DAMAGED_ARCHIVE = (
+    zipfile.BadZipFile,
+    EOFError,
+    ValueError,
+    KeyError,
+    NotImplementedError,
+    OSError,
+)
+
+
+@contextmanager
+def _open_archive(path: PathLike) -> Iterator[np.lib.npyio.NpzFile]:
+    """``np.load`` a model archive for reading, as a context manager.
+
+    A damaged file — while opening it or while reading its entries in the
+    ``with`` body — raises :class:`SerializationError` instead of the
+    zipfile/numpy exception underneath; a missing file still raises
+    ``FileNotFoundError``.
+    """
+    target = _read_path(path)
+    try:
+        with np.load(target) as archive:
+            yield archive
+    except (ReproError, FileNotFoundError):
+        raise
+    except _DAMAGED_ARCHIVE as exc:
+        raise SerializationError(
+            f"corrupt or unreadable model archive {str(target)!r}: {exc}"
+        ) from exc
 
 
 def _write_archive(path: PathLike, meta: dict, params: np.ndarray) -> Path:
@@ -131,13 +165,13 @@ def read_model_meta(path: PathLike, expected_kind: str) -> dict:
     Lets higher layers (e.g. :mod:`repro.api`) inspect a checkpoint —
     including the v2 ``extra`` mapping — without loading parameters.
     """
-    with np.load(_read_path(path)) as archive:
+    with _open_archive(path) as archive:
         return _read_meta(archive, expected_kind)
 
 
 def load_network(path: PathLike) -> QuantumNetwork:
     """Load a network saved by :func:`save_network`."""
-    with np.load(_read_path(path)) as archive:
+    with _open_archive(path) as archive:
         meta = _read_meta(archive, "QuantumNetwork")
         net = QuantumNetwork(
             dim=int(meta["dim"]),
@@ -208,7 +242,7 @@ def load_autoencoder_with_meta(
     :meth:`repro.api.Codec.load`, which reconstructs its spec from the
     v2 ``extra`` mapping).
     """
-    with np.load(_read_path(path)) as archive:
+    with _open_archive(path) as archive:
         meta = _read_meta(archive, "QuantumAutoencoder")
         ae = QuantumAutoencoder(
             dim=int(meta["dim"]),

@@ -30,6 +30,7 @@ from repro.noise.trajectory import (
     NoisyForwardResult,
     clean_mesh_matrix,
     realization_rng,
+    sample_mesh_matrices,
     sample_mesh_matrix,
     trajectory_forward,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "noise_preset",
     "noisy_loss_and_gradient",
     "realization_rng",
+    "sample_mesh_matrices",
     "sample_mesh_matrix",
     "trajectory_forward",
 ]

@@ -127,9 +127,11 @@ def noisy_program_rho(
     angle-jitter channel, and the two-mode insertion-loss damping.
     ``rho`` may be sub-normalized; it is modified in place and returned.
     """
-    from repro.noise.trajectory import _as_program
+    prog = program_or_network
+    if not hasattr(prog, "theta_index"):
+        from repro.backends.program import compile_program
 
-    prog = _as_program(program_or_network)
+        prog = compile_program(prog)
     if prog.allow_phase:
         raise NoiseError(
             "the noise model supports the paper's real (phase-free) meshes; "

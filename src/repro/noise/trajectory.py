@@ -6,8 +6,10 @@ to wide batches by sampling whole-mesh **realizations**: for realization
 ``r`` the per-gate angle jitters are drawn once (a fabricated mesh has
 frozen miscalibration) and folded — together with the deterministic
 per-gate insertion-loss damping — into a single sub-unitary ``N x N``
-matrix, exactly like :class:`~repro.backends.fused.FusedBackend` folds the
-ideal program.  Every sample then moves through a realization in one GEMM.
+matrix by the same closed-form chain fold
+(:mod:`repro.backends.fold`) that :class:`~repro.backends.fused.FusedBackend`
+uses for the ideal program, all realizations of a mesh in one batched
+call.  Every sample then moves through a realization in one GEMM.
 
 The wire channels (dephasing / depolarizing) act between ``U_C`` and
 ``U_R``; because the pipeline only ever measures in the computational
@@ -39,14 +41,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.fold import noisy_folds
 from repro.exceptions import NoiseError
 from repro.noise.model import NoiseModel
-from repro.simulator.gates import apply_givens_batch
 
 __all__ = [
     "NoisyForwardResult",
     "realization_rng",
     "sample_mesh_matrix",
+    "sample_mesh_matrices",
     "clean_mesh_matrix",
     "channel_probabilities",
     "measure_probabilities",
@@ -85,72 +88,73 @@ def realization_rng(
     return np.random.default_rng(ss)
 
 
-def _as_program(program_or_network):
-    """Accept either a compiled :class:`GateProgram` or a network."""
-    if hasattr(program_or_network, "theta_index"):
-        return program_or_network
-    from repro.backends.program import compile_program
+#: Realizations folded per batched call in :func:`trajectory_forward`,
+#: bounding its fold memory at ``O(block L N^2)`` for any ``K``.
+_FOLD_BLOCK = 64
 
-    return compile_program(program_or_network)
+
+def sample_mesh_matrices(
+    mesh,
+    params: np.ndarray,
+    model: NoiseModel,
+    rngs: Sequence[Optional[np.random.Generator]],
+) -> np.ndarray:
+    """Fold ``K = len(rngs)`` noisy mesh realizations, shape ``(K, N, N)``.
+
+    ``mesh`` is the :class:`~repro.backends.program.GateProgram` or the
+    :class:`~repro.network.quantum_network.QuantumNetwork` whose structure
+    is folded.  Realization ``r`` is the closed-form fold
+    (:func:`repro.backends.fold.noisy_folds`) of the mesh with two
+    physical modifications per gate ``g`` on modes ``(k, k+1)``:
+
+    - the angle is ``theta_g + eps_g`` with ``eps_g ~ N(0, theta_sigma^2)``
+      drawn once from ``rngs[r]`` (frozen fabrication miscalibration);
+    - rows ``k, k+1`` are damped by ``sqrt(1 - loss_per_gate)`` after the
+      rotation (single-photon insertion loss), so the result is
+      sub-unitary and carries the *unconditional* (non-post-selected)
+      amplitude, matching the density path's trace bookkeeping.
+
+    Realization ``r`` depends on ``rngs[r]`` alone: any contiguous slice
+    of the result equals the call on that slice of ``rngs``, bitwise.
+    Generators may be ``None`` when ``theta_sigma == 0``.
+    """
+    if mesh.allow_phase:
+        raise NoiseError(
+            "the noise model supports the paper's real (phase-free) meshes; "
+            "allow_phase networks are out of scope for noisy execution"
+        )
+    params = np.asarray(params, dtype=np.float64)
+    num_thetas = mesh.num_layers * (mesh.dim - 1)
+    thetas = np.broadcast_to(params[:num_thetas], (len(rngs), num_thetas))
+    if model.theta_sigma > 0.0:
+        if any(rng is None for rng in rngs):
+            raise NoiseError("theta_sigma > 0 requires an rng to draw jitter")
+        # One draw per *theta parameter*, in flat-parameter layout (what
+        # noise-aware training perturbs).
+        thetas = thetas + np.stack(
+            [rng.normal(0.0, model.theta_sigma, size=num_thetas) for rng in rngs]
+        )
+    return noisy_folds(mesh, thetas, float(np.sqrt(1.0 - model.loss_per_gate)))
 
 
 def sample_mesh_matrix(
-    program_or_network,
+    mesh,
     params: np.ndarray,
     model: NoiseModel,
     rng: Optional[np.random.Generator],
 ) -> np.ndarray:
     """Fold one noisy mesh realization into a dense ``N x N`` matrix.
 
-    Mirrors :meth:`FusedBackend._refresh` gate for gate, with two
-    physical modifications per gate ``g`` on modes ``(k, k+1)``:
-
-    - the angle is ``theta_g + eps_g`` with ``eps_g ~ N(0, theta_sigma^2)``
-      drawn once from ``rng`` (frozen fabrication miscalibration);
-    - rows ``k, k+1`` are damped by ``sqrt(1 - loss_per_gate)`` after the
-      rotation (single-photon insertion loss), so the result is
-      sub-unitary and carries the *unconditional* (non-post-selected)
-      amplitude, matching the density path's trace bookkeeping.
-
-    ``rng=None`` is allowed when ``theta_sigma == 0``.
+    The single-realization case of :func:`sample_mesh_matrices`, which
+    describes the noise; ``rng=None`` is allowed when
+    ``theta_sigma == 0``.
     """
-    prog = _as_program(program_or_network)
-    if prog.allow_phase:
-        raise NoiseError(
-            "the noise model supports the paper's real (phase-free) meshes; "
-            "allow_phase networks are out of scope for noisy execution"
-        )
-    params = np.asarray(params, dtype=np.float64)
-    if model.theta_sigma > 0.0:
-        if rng is None:
-            raise NoiseError("theta_sigma > 0 requires an rng to draw jitter")
-        # One draw per *theta parameter*, addressed through theta_index, so
-        # the jitter vector has the same layout as the flat parameter
-        # vector (what noise-aware training perturbs).
-        jitter = rng.normal(0.0, model.theta_sigma, size=prog.num_thetas)
-    else:
-        jitter = None
-    keep_amp = float(np.sqrt(1.0 - model.loss_per_gate))
-    lossy = model.loss_per_gate > 0.0
-    u = np.eye(prog.dim, dtype=np.float64)
-    for g in range(prog.num_gates):
-        k = int(prog.modes[g])
-        t = int(prog.theta_index[g])
-        theta = float(params[t])
-        if jitter is not None:
-            theta += float(jitter[t])
-        apply_givens_batch(u, k, theta)
-        if lossy:
-            u[k] *= keep_amp
-            u[k + 1] *= keep_amp
-    return u
+    return sample_mesh_matrices(mesh, params, model, [rng])[0]
 
 
-def clean_mesh_matrix(program_or_network, params: np.ndarray) -> np.ndarray:
+def clean_mesh_matrix(mesh, params: np.ndarray) -> np.ndarray:
     """The ideal (noise-free) mesh fold — the reference for fidelity."""
-    return sample_mesh_matrix(
-        program_or_network, params, NoiseModel(), None
-    )
+    return sample_mesh_matrix(mesh, params, NoiseModel(), None)
 
 
 def channel_probabilities(
@@ -300,28 +304,41 @@ def _realization_stats(
     model: NoiseModel,
     seed: int,
     epoch: int,
-    realization: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-realization (probabilities, fidelity, transmission)."""
-    uc = sample_mesh_matrix(
-        uc_prog, uc_params, model, realization_rng(seed, epoch, realization, STREAM_UC)
-    )
-    ur = sample_mesh_matrix(
-        ur_prog, ur_params, model, realization_rng(seed, epoch, realization, STREAM_UR)
-    )
-    phi = _masked_compress(uc, amplitudes, keep)
-    probs, fid = channel_probabilities(ur, phi, model, reference=reference)
-    assert fid is not None
-    return probs, fid, probs.sum(axis=0)
+    lo: int,
+    hi: int,
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact (probabilities, fidelity, transmission) of realizations
+    ``[lo, hi)``, each mesh's realizations folded in batched calls.
+
+    Every realization is keyed on its own index (see
+    :func:`realization_rng`) and batched folds are slice-exact, so the
+    values do not depend on how the range is split.
+    """
+    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for start in range(lo, hi, _FOLD_BLOCK):
+        block = range(start, min(start + _FOLD_BLOCK, hi))
+        ucs = sample_mesh_matrices(
+            uc_prog,
+            uc_params,
+            model,
+            [realization_rng(seed, epoch, r, STREAM_UC) for r in block],
+        )
+        urs = sample_mesh_matrices(
+            ur_prog,
+            ur_params,
+            model,
+            [realization_rng(seed, epoch, r, STREAM_UR) for r in block],
+        )
+        for uc, ur in zip(ucs, urs):
+            phi = _masked_compress(uc, amplitudes, keep)
+            probs, fid = channel_probabilities(ur, phi, model, reference=reference)
+            assert fid is not None
+            out.append((probs, fid, probs.sum(axis=0)))
+    return out
 
 
 def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Worker task: realizations ``[lo, hi)`` of a trajectory sweep.
-
-    Every realization is keyed on its own index (see
-    :func:`realization_rng`), so the split of the range across workers is
-    irrelevant to the values produced.
-    """
+    """Worker task: realizations ``[lo, hi)`` of a trajectory sweep."""
     (
         uc_struct,
         uc_params,
@@ -336,25 +353,20 @@ def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.nda
         lo,
         hi,
     ) = payload
-    model = NoiseModel.from_dict(model_dict)
-    uc_prog = _program_for_struct(uc_struct)
-    ur_prog = _program_for_struct(ur_struct)
-    return [
-        _realization_stats(
-            uc_prog,
-            uc_params,
-            ur_prog,
-            ur_params,
-            keep,
-            amplitudes,
-            reference,
-            model,
-            seed,
-            epoch,
-            r,
-        )
-        for r in range(lo, hi)
-    ]
+    return _realization_stats(
+        _program_for_struct(uc_struct),
+        uc_params,
+        _program_for_struct(ur_struct),
+        ur_params,
+        keep,
+        amplitudes,
+        reference,
+        NoiseModel.from_dict(model_dict),
+        seed,
+        epoch,
+        lo,
+        hi,
+    )
 
 
 def trajectory_forward(
@@ -424,22 +436,20 @@ def trajectory_forward(
         for chunk in pool.map(_trajectory_shard_task, payloads):
             per_realization.extend(chunk)
     else:
-        for r in range(K):
-            per_realization.append(
-                _realization_stats(
-                    uc_prog,
-                    uc_params,
-                    ur_prog,
-                    ur_params,
-                    keep,
-                    amplitudes,
-                    reference,
-                    model,
-                    int(seed),
-                    int(epoch),
-                    r,
-                )
-            )
+        per_realization = _realization_stats(
+            uc_prog,
+            uc_params,
+            ur_prog,
+            ur_params,
+            keep,
+            amplitudes,
+            reference,
+            model,
+            int(seed),
+            int(epoch),
+            0,
+            K,
+        )
 
     from repro.parallel.reducer import tree_reduce
 

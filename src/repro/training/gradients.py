@@ -500,10 +500,10 @@ def _adjoint_vectorized(
 ) -> Tuple[float, np.ndarray]:
     """Vectorised adjoint: per-layer GEMMs instead of a per-gate walk.
 
-    Builds the prefix/suffix workspace — for the standard ascending/
-    descending chains that is the cross-layer recurrence of
-    :meth:`PrefixSuffixWorkspace._build_vectorized`, ``O(num_layers)``
-    stacked GEMMs with no per-gate Python work — and contracts the loss
+    Builds the prefix/suffix workspace — the chain recurrence of
+    :mod:`repro.backends.fold` plus ``O(num_layers)`` stacked GEMMs in
+    :meth:`PrefixSuffixWorkspace._build_vectorized`, with no per-gate
+    Python work — and contracts the loss
     adjoint through the suffix columns, reading the ``theta`` and
     ``alpha`` gradients off the one tape.  Mathematically identical to
     the per-gate backward walk (both compute

@@ -180,3 +180,47 @@ class TestPipelineStatePersistence:
         save_network(net, path)
         with pytest.raises(SerializationError, match="QuantumAutoencoder"):
             read_model_meta(path, "QuantumAutoencoder")
+
+
+class TestCorruptedCheckpoints:
+    """A damaged checkpoint loads or raises a ``repro.exceptions`` type."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        from repro.api import Codec
+        from repro.experiments.config import PaperConfig
+
+        codec = Codec(PaperConfig().codec_spec())
+        path = codec.save(tmp_path_factory.mktemp("ckpt") / "paper.npz")
+        return path.read_bytes()
+
+    @staticmethod
+    def assert_typed(path):
+        from repro.api import Codec
+        from repro.exceptions import ReproError
+
+        try:
+            Codec.load(path)
+        except ReproError:
+            pass
+
+    def test_every_truncation(self, checkpoint, tmp_path):
+        path = tmp_path / "cut.npz"
+        for length in range(len(checkpoint)):
+            path.write_bytes(checkpoint[:length])
+            self.assert_typed(path)
+
+    def test_single_bit_flips(self, checkpoint, tmp_path):
+        path = tmp_path / "flipped.npz"
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            blob = bytearray(checkpoint)
+            blob[int(rng.integers(len(blob)))] ^= 1 << int(rng.integers(8))
+            path.write_bytes(bytes(blob))
+            self.assert_typed(path)
+
+    def test_truncation_is_a_serialization_error(self, checkpoint, tmp_path):
+        path = tmp_path / "cut.npz"
+        path.write_bytes(checkpoint[:2000])
+        with pytest.raises(SerializationError, match="corrupt"):
+            load_autoencoder(path)
