@@ -12,7 +12,8 @@ This package separates network *structure* from *execution*:
   unitary from one vectorised recurrence, batched over noise
   realizations too;
 - :mod:`repro.backends.fused` — cached whole-network unitary applied as a
-  single GEMM, plus the prefix/suffix gradient workspace;
+  single GEMM; its cached fold also feeds the adjoint sweep and the
+  prefix/suffix gradient workspace;
 - :mod:`repro.backends.sharded` — wide batches column-scattered over a
   persistent multi-process :class:`~repro.parallel.pool.WorkerPool`
   (``"sharded"`` / ``"sharded:K"``), in-process fused fallback for

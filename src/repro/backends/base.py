@@ -43,6 +43,7 @@ from repro.exceptions import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.cached import PrefixSuffixWorkspace
+    from repro.backends.fold import MeshLayers
     from repro.network.quantum_network import QuantumNetwork
 
 __all__ = [
@@ -160,6 +161,15 @@ class Backend(abc.ABC):
 
     def invalidate(self) -> None:
         """Drop parameter-derived caches (called on ``set_flat_params``)."""
+
+    def cached_mesh(self, params: np.ndarray) -> Optional["MeshLayers"]:
+        """The chain recurrence of the bound network at ``params`` if the
+        backend already holds it (the ``fused`` fold cache), else ``None``.
+
+        The adjoint sweep of :mod:`repro.training.gradients` reads it so a
+        training step folds each parameter set once.
+        """
+        return None
 
     def gradient_workspace(
         self, inputs: np.ndarray

@@ -35,8 +35,10 @@ its output is just ``S_i (dG_i) (P_i X)`` with no base term).
 
 :class:`PrefixSuffixWorkspace` records all three artefacts for one
 ``(parameters, inputs)`` pair; :mod:`repro.training.gradients` builds one
-workspace per gradient evaluation when the network's backend advertises
-``supports_cached_gradients``.
+per ``fd``/``central``/``derivative`` gradient evaluation when the
+network's backend advertises ``supports_cached_gradients`` (the exact
+``adjoint`` method needs no suffix columns: its sweep pulls the adjoint
+back a layer at a time, see :func:`repro.training.gradients.adjoint_sweep`).
 
 **Batched engine.**  The per-parameter products above are still a Python
 loop over ``P`` parameters.  The batched methods
@@ -67,6 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.quantum_network import QuantumNetwork
 
 __all__ = ["PrefixSuffixWorkspace"]
+
+#: Element budget of one batched contraction stack (~32 MB of float64):
+#: :meth:`PrefixSuffixWorkspace.param_chunks` merges layers under it, and
+#: the adjoint sweep sizes its blocks of parameter sets against it.
+ELEMENT_BUDGET = 4_000_000
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +426,7 @@ class PrefixSuffixWorkspace:
                 yield prog.alpha_index[gates]
 
     def param_chunks(
-        self, max_elements: int = 4_000_000
+        self, max_elements: int = ELEMENT_BUDGET
     ) -> Iterator[np.ndarray]:
         """Layer chunks merged until a stack would exceed ``max_elements``.
 

@@ -108,12 +108,14 @@ def fold(layers: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshLayers:
-    """One parameter set's chain recurrence: gate entries, layer unitaries
-    and recurrence columns (see :func:`chain_layers`).
+    """The chain recurrence of one or more parameter sets: gate entries,
+    layer unitaries and recurrence columns (see :func:`chain_layers`).
 
-    ``params`` is the flat parameter vector the rest was built from; the
-    ``(L, N-1)`` gate entries are indexed ``[layer, mode]``.  Layers are
-    real unless some phase ``alpha`` is non-zero.
+    ``params`` holds the flat parameter vectors the rest was built from,
+    ``(P,)`` for one set or ``(K, P)`` for ``K``; every other field has the
+    same leading axes, and the ``(..., L, N-1)`` gate entries are indexed
+    ``[..., layer, mode]``.  Layers are real unless some phase ``alpha``
+    is non-zero.
     """
 
     params: np.ndarray
@@ -130,6 +132,12 @@ class MeshLayers:
 def mesh_layers(mesh, params: np.ndarray) -> MeshLayers:
     """The chain recurrence of one mesh at the flat parameters ``params``.
 
+    ``params`` is one ``(P,)`` vector or a ``(K, P)`` stack of them.  The
+    whole stack is real unless some phase in it is non-zero, so row ``r``
+    of a stacked result equals the result for ``params[r]`` bitwise when
+    the rows share their phases (every row phase-free, or every row
+    phase-bearing); a zero-phase row of a mixed stack is folded in complex
+    arithmetic and agrees with its single call at rounding level only.
     ``mesh`` is a :class:`~repro.backends.program.GateProgram` or a
     :class:`~repro.network.quantum_network.QuantumNetwork`: only the
     structure both expose (``dim``, ``num_layers``, ``descending``,
@@ -137,15 +145,16 @@ def mesh_layers(mesh, params: np.ndarray) -> MeshLayers:
     """
     num_layers, g = mesh.num_layers, mesh.dim - 1
     num_thetas = num_layers * g
-    thetas = params[:num_thetas]
-    th = thetas.reshape(num_layers, g)
+    lead = params.shape[:-1]
+    thetas = params[..., :num_thetas]
+    th = thetas.reshape(lead + (num_layers, g))
     c, s = np.cos(th), np.sin(th)
     if mesh.allow_phase:
-        alphas = params[num_thetas:]
+        alphas = params[..., num_thetas:]
     else:
-        alphas = np.zeros(num_thetas)
+        alphas = np.zeros(lead + (num_thetas,))
     if np.any(alphas):
-        al = alphas.reshape(num_layers, g)
+        al = alphas.reshape(lead + (num_layers, g))
         phase = np.cos(al) + 1j * np.sin(al)
         pc, ps = phase * c, phase * s
     else:

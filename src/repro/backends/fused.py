@@ -14,14 +14,12 @@ The cache is validated against the network's *current* flat parameter
 vector (not just the :meth:`invalidate` notification), so even direct
 mutation of ``layer.thetas`` is picked up on the next pass.  The backend
 keeps the per-layer unitaries of that fold
-(:meth:`FusedBackend.layer_unitaries`) and hands them, with the
-recurrence columns, to the prefix/suffix gradient workspace used by
-:mod:`repro.training.gradients` whenever the parameters still match — so
-a training step folds each parameter set once.  The workspace turns
-``O(P^2)`` finite-difference training into ``O(P)`` gate work and,
-through its batched methods, into ``O(num_layers)`` batched contractions
-per gradient when the ``"batched"`` engine drives it (see
-``docs/gradients.md``).
+(:meth:`FusedBackend.layer_unitaries`) and, while the parameters still
+match, serves them (:meth:`FusedBackend.cached_mesh`) to the reverse-mode
+adjoint sweep of :mod:`repro.training.gradients` and, with the
+recurrence columns, to the prefix/suffix workspace of the ``fd``,
+``central`` and ``derivative`` methods — so a training step folds each
+parameter set once (see ``docs/gradients.md``).
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ class FusedBackend(Backend):
         self._mesh = None
         self._unitary = None
 
-    def _cached_mesh(self, params: np.ndarray) -> Optional[MeshLayers]:
+    def cached_mesh(self, params: np.ndarray) -> Optional[MeshLayers]:
         """The cached fold's layers if they were built from ``params``."""
         mesh = self._mesh
         if mesh is not None and np.array_equal(params, mesh.params):
@@ -73,7 +71,7 @@ class FusedBackend(Backend):
     def _refresh(self) -> np.ndarray:
         """The fused unitary, refolded unless the parameter set is unchanged."""
         params = self.network.get_flat_params()
-        if self._cached_mesh(params) is None:
+        if self.cached_mesh(params) is None:
             mesh = mesh_layers(self.program, params)
             self._unitary = fold(mesh.layers)
             self._mesh = mesh
@@ -118,9 +116,8 @@ class FusedBackend(Backend):
     def gradient_workspace(self, inputs: np.ndarray) -> PrefixSuffixWorkspace:
         """The prefix/suffix workspace, built on the cached fold's layers
         when the parameters still match (a miss runs the recurrence
-        without forming the product — noisy training misses on every
-        realization)."""
-        mesh = self._cached_mesh(self.network.get_flat_params())
+        without forming the product)."""
+        mesh = self.cached_mesh(self.network.get_flat_params())
         return PrefixSuffixWorkspace(
             self.network, self.program, inputs, mesh=mesh
         )

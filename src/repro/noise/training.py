@@ -8,14 +8,24 @@ optimises that expectation directly by averaging the exact gradient over
 
     g = (1/K) sum_r dL/dtheta (theta + eps_r),   eps_r ~ N(0, sigma^2 I)
 
-which is the exact gradient of the realization-averaged loss (the jitter
-enters additively in parameter space, so ``d/dtheta L(theta + eps) =
-(dL/dparams)(theta + eps)``).  The parameter-*independent* channels of a
-:class:`~repro.noise.model.NoiseModel` — insertion loss, dephasing,
-depolarizing, finite shots — shift the evaluated loss but not its
-parameter gradient to first order, so they enter evaluation
-(:mod:`repro.noise.trajectory`) rather than the gradient; a model with
-``theta_sigma == 0`` therefore reduces this step to the noise-blind one.
+which is the exact gradient of the realization-averaged loss under angle
+jitter (the jitter enters additively in parameter space, so
+``d/dtheta L(theta + eps) = (dL/dparams)(theta + eps)``).  The gradient
+averages angle jitter only: it leaves out insertion loss and the wire
+channels of a :class:`~repro.noise.model.NoiseModel` (dephasing,
+depolarizing, finite shots), which enter evaluation
+(:mod:`repro.noise.trajectory`) but not the step.  Insertion loss does
+move the gradient — each path of a chain mesh crosses a different number
+of lossy gates — so this is the jitter-averaged gradient, not the exact
+gradient of the evaluated lossy loss.  A model with ``theta_sigma == 0``
+reduces this step to the noise-blind one.
+
+With the exact ``adjoint`` method and the ``batched`` engine all ``K``
+realizations go through one
+:func:`~repro.training.gradients.adjoint_sweep` call per mesh — in
+process, or once per pool shard on its slice of ``[0, K)``; the other
+methods and the ``looped`` engine set each realization's parameters in
+turn.
 
 Reproducibility contract (the determinism gate in
 ``benchmarks/bench_noise.py`` and ``tests/noise``): realization ``r`` of
@@ -61,46 +71,62 @@ def draw_jitter(
     return eps
 
 
-def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
-    """Worker task: per-realization ``(loss, grad)`` for ``[lo, hi)``.
+def _realization_pairs(
+    network,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss,
+    projection,
+    method: str,
+    delta: Optional[float],
+    engine: Optional[str],
+    sigma: float,
+    seed: int,
+    epoch: int,
+    stream: int,
+    lo: int,
+    hi: int,
+) -> List[Tuple[float, np.ndarray]]:
+    """Per-realization ``(loss, grad)`` at ``params + eps_r``, ``r`` in
+    ``[lo, hi)`` — the body the in-process path and each pool shard run.
 
-    Each realization evaluates the *full* batch at ``params + eps_r``
-    through the in-worker ``fused`` backend, so the values depend only on
-    the realization index — never on the shard boundaries.
+    Each realization evaluates the *full* batch, so the values depend only
+    on the realization index — never on the shard boundaries.  The exact
+    ``adjoint`` method with the ``batched`` engine runs all of them in one
+    :func:`~repro.training.gradients.adjoint_sweep`; the other methods
+    and the ``looped`` engine set each realization's parameters in turn.
     """
-    (
-        struct,
-        params,
-        inputs,
-        targets,
-        loss,
-        keep,
-        method,
-        delta,
-        engine,
-        sigma,
-        num_thetas,
-        seed,
-        epoch,
-        stream,
-        lo,
-        hi,
-    ) = payload
-    from repro.parallel.reducer import _worker_network, _worker_projection
-    from repro.training.gradients import loss_and_gradient
+    from repro.training.gradients import (
+        adjoint_sweep,
+        loss_and_gradient,
+        validate_gradient_engine,
+    )
 
-    net = _worker_network(struct)
-    projection = _worker_projection(struct[0], keep)
+    sets = params + np.stack(
+        [
+            draw_jitter(
+                params.shape[0], network.num_thetas, sigma, seed, epoch, r,
+                stream,
+            )
+            for r in range(lo, hi)
+        ]
+    )
+    if (
+        str(method).lower() == "adjoint"
+        and validate_gradient_engine(engine) == "batched"
+    ):
+        values, grads = adjoint_sweep(
+            network, sets, inputs, targets, loss=loss, projection=projection
+        )
+        return list(zip(values, grads))
     out: List[Tuple[float, np.ndarray]] = []
     try:
-        for r in range(lo, hi):
-            eps = draw_jitter(
-                params.shape[0], num_thetas, sigma, seed, epoch, r, stream
-            )
-            net.set_flat_params(params + eps)
+        for jittered in sets:
+            network.set_flat_params(jittered)
             out.append(
                 loss_and_gradient(
-                    net,
+                    network,
                     inputs,
                     targets,
                     loss=loss,
@@ -111,8 +137,25 @@ def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
                 )
             )
     finally:
-        net.set_flat_params(params)
+        network.set_flat_params(params)
     return out
+
+
+def _noise_shard_task(payload: Tuple) -> List[Tuple[float, np.ndarray]]:
+    """Worker task: :func:`_realization_pairs` for one shard ``[lo, hi)``
+    on the in-worker ``fused`` network."""
+    from repro.parallel.reducer import _worker_network, _worker_projection
+
+    struct, keep, params, inputs, targets, loss, *rest = payload
+    return _realization_pairs(
+        _worker_network(struct),
+        params,
+        inputs,
+        targets,
+        loss,
+        _worker_projection(struct[0], keep),
+        *rest,
+    )
 
 
 def noisy_loss_and_gradient(
@@ -172,6 +215,16 @@ def noisy_loss_and_gradient(
             engine=engine,
         )
 
+    params = network.get_flat_params()
+    args = (
+        method,
+        delta,
+        engine,
+        model.theta_sigma,
+        int(seed),
+        int(epoch),
+        int(stream),
+    )
     pairs: List[Tuple[float, np.ndarray]]
     if reducer is not None and reducer.num_workers > 1 and K > 1:
         from repro.parallel.sharding import plan_shards
@@ -182,7 +235,6 @@ def noisy_loss_and_gradient(
             network.descending,
             network.allow_phase,
         )
-        params = network.get_flat_params()
         keep = (
             None
             if projection is None
@@ -192,58 +244,16 @@ def noisy_loss_and_gradient(
         tgt = np.ascontiguousarray(targets)
         shards = plan_shards(K, min(reducer.num_workers, K))
         payloads = [
-            (
-                struct,
-                params,
-                arr,
-                tgt,
-                loss,
-                keep,
-                method,
-                delta,
-                engine,
-                model.theta_sigma,
-                network.num_thetas,
-                int(seed),
-                int(epoch),
-                int(stream),
-                s.start,
-                s.stop,
-            )
+            (struct, keep, params, arr, tgt, loss) + args + (s.start, s.stop)
             for s in shards
         ]
         pairs = []
         for chunk in reducer.pool.map(_noise_shard_task, payloads):
             pairs.extend(chunk)
     else:
-        params = network.get_flat_params()
-        pairs = []
-        try:
-            for r in range(K):
-                eps = draw_jitter(
-                    params.shape[0],
-                    network.num_thetas,
-                    model.theta_sigma,
-                    int(seed),
-                    int(epoch),
-                    r,
-                    int(stream),
-                )
-                network.set_flat_params(params + eps)
-                pairs.append(
-                    loss_and_gradient(
-                        network,
-                        inputs,
-                        targets,
-                        loss=loss,
-                        projection=projection,
-                        method=method,
-                        delta=delta,
-                        engine=engine,
-                    )
-                )
-        finally:
-            network.set_flat_params(params)
+        pairs = _realization_pairs(
+            network, params, inputs, targets, loss, projection, *args, 0, K
+        )
 
     value = tree_reduce([v for v, _ in pairs]) / K
     grad = tree_reduce([g for _, g in pairs]) / K

@@ -9,8 +9,8 @@ does the same for *training*.  A
 - **Batch sharding** (``shard="batch"``, the default for the exact
   ``adjoint``/``derivative`` methods): the ``(N, M)`` sample batch is
   split into column shards, each worker computes its shard's
-  ``(loss, grad)`` with the full gradient engine stack (prefix/suffix
-  workspace, vectorised adjoint sweep), and the shard results are
+  ``(loss, grad)`` with the full gradient engine stack (adjoint sweep,
+  prefix/suffix workspace), and the shard results are
   combined with batch-size weights.
 - **Parameter sharding** (``shard="params"``, the default for the
   finite-difference methods ``fd``/``central``): every worker receives

@@ -23,13 +23,14 @@ against target amplitudes:
     instead of ``O(P^2)``) and is bit-identical to ``"derivative"`` up
     to rounding.  Supports complex (``allow_phase``) networks: the sweep
     pulls the adjoint back through ``G^dagger`` and reads off both the
-    ``theta`` and ``alpha`` gradients from the same tape.  The sweep is
-    *vectorised* by default (``engine="batched"``): stacked per-layer
-    GEMMs via the prefix/suffix workspace's cross-layer recurrence on
-    any backend; the per-gate Python walk over
-    :meth:`QuantumNetwork.forward_trace` remains as the
-    ``engine="looped"`` reference (``benchmarks/bench_gradients.py``
-    gates the vectorised sweep at >= 3x over it).
+    ``theta`` and ``alpha`` gradients from the same tape.  By default
+    (``engine="batched"``) the sweep runs over *layer* adjoint states —
+    one GEMM per layer each way plus in-layer recurrences, for ``K``
+    parameter sets at once (:func:`adjoint_sweep`) — on any backend;
+    the per-gate Python walk over :meth:`QuantumNetwork.forward_trace`
+    remains as the ``engine="looped"`` reference
+    (``benchmarks/bench_gradients.py`` gates the sweep at >= 3x over
+    it).
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
@@ -64,7 +65,7 @@ selected by ``engine`` (CLI ``--grad-engine``):
     speedups at the paper's configuration).
 
 The engine choice selects the drive for workspace-backed evaluations and
-for the adjoint sweep (vectorised vs the per-gate reference walk);
+for the adjoint (the layer-level sweep vs the per-gate reference walk);
 only the re-execution fallback of ``fd``/``central``/``derivative``
 ignores it.  See ``docs/gradients.md`` for the full method x backend x
 engine matrix.
@@ -77,12 +78,15 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.backends.cached import ELEMENT_BUDGET
+from repro.backends.fold import mesh_layers
 from repro.exceptions import GradientError
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
 from repro.training.loss import Loss, SquaredErrorLoss
 
 __all__ = [
+    "adjoint_sweep",
     "GradientMethod",
     "GradientEngine",
     "loss_and_gradient",
@@ -129,6 +133,34 @@ def validate_gradient_engine(
             f"{available_gradient_engines()}"
         )
     return key
+
+
+def _checked_problem(
+    network: QuantumNetwork,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss: Optional[Loss],
+    projection: Optional[Projection],
+) -> Tuple[np.ndarray, np.ndarray, Loss]:
+    """Validated ``(inputs, targets, loss)``; ``None`` selects Algorithm
+    1's mean-normalised squared error."""
+    arr = np.asarray(inputs)
+    tgt = np.asarray(targets)
+    if arr.ndim != 2 or arr.shape[0] != network.dim:
+        raise GradientError(
+            f"inputs must be (N={network.dim}, M), got shape {arr.shape}"
+        )
+    if tgt.shape != arr.shape:
+        raise GradientError(
+            f"targets shape {tgt.shape} != inputs shape {arr.shape}"
+        )
+    if projection is not None and projection.dim != network.dim:
+        raise GradientError(
+            f"projection dim {projection.dim} != network dim {network.dim}"
+        )
+    if loss is None:
+        loss = SquaredErrorLoss(reduction="mean")
+    return arr, tgt, loss
 
 
 def _projected_output(
@@ -491,43 +523,203 @@ def _adjoint_loss_and_lambda(
     return base, lam
 
 
-def _adjoint_vectorized(
+def adjoint_sweep(
     network: QuantumNetwork,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    loss: Optional[Loss] = None,
+    projection: Optional[Projection] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode ``(loss, gradient)`` for ``K`` parameter sets.
+
+    ``params`` is ``(K, P)``, one flat parameter vector of ``network``'s
+    structure per row (the network's own parameters are not read or
+    changed); returns the ``(K,)`` losses and ``(K, P)`` gradients of
+    ``loss(P1 U(params[r]) inputs, targets)``.  When the rows share their
+    phases (as noise-aware training's realizations share the network's
+    ``alpha``), row ``r`` depends on ``params[r]`` only, so a stacked call
+    equals ``K`` single calls — and any split of ``K`` into blocks or pool
+    shards — bitwise.  A stack mixing zero-phase rows with phase-bearing
+    ones folds all of them in complex arithmetic (see
+    :func:`~repro.backends.fold.mesh_layers`), so its zero-phase rows
+    agree with their single calls at rounding level only.
+
+    One sweep serves every row: the layer unitaries and gate entries come
+    from :func:`repro.backends.fold.mesh_layers` on the stack; then
+
+    1. the forward GEMM chain records every layer input ``x``;
+    2. the output adjoint ``lam`` is pulled back one GEMM per layer,
+       ``mu_{p-1} = U_p^dagger mu_p``;
+    3. an in-layer recurrence, vectorised over ``(K, L, M)``, gives the
+       rows ``(r0, r1)`` each gate reads, and one batched GEMM of ``mu``
+       with the fold's recurrence columns the adjoints ``(l0, l1)`` at its
+       outputs (see :func:`_gate_tapes`);
+    4. the gradient reads off elementwise,
+       ``d theta = Re sum_m conj(l) . (dG/dtheta) r`` and likewise for
+       ``alpha`` on phase-bearing meshes.
+
+    No suffix columns and no per-gate products are formed.  ``K`` is
+    processed in blocks whose tapes stay under a fixed element budget
+    (:func:`_sweep_block_size`).
+    """
+    arr, tgt, loss = _checked_problem(
+        network, inputs, targets, loss, projection
+    )
+    params = np.asarray(params, dtype=np.float64)
+    if params.ndim != 2 or params.shape[1] != network.num_parameters:
+        raise GradientError(
+            f"params must be (K, P={network.num_parameters}), got shape "
+            f"{params.shape}"
+        )
+    n, m = arr.shape
+    dtype = network.result_dtype(arr)
+    total = params.shape[0]
+    values = np.empty(total)
+    grads = np.empty((total, network.num_parameters))
+    block = _sweep_block_size(network.num_layers, n, m, dtype)
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        values[lo:hi], grads[lo:hi] = _sweep_block(
+            network,
+            mesh_layers(network, params[lo:hi]),
+            hi - lo,
+            arr,
+            tgt,
+            loss,
+            projection,
+            dtype,
+        )
+    return values, grads
+
+
+def _sweep_block_size(
+    num_layers: int, n: int, m: int, dtype: np.dtype
+) -> int:
+    """Parameter sets per block of :func:`adjoint_sweep`.
+
+    One set's tapes in :func:`_sweep_block` hold the layer inputs
+    (``(L+1) N M`` elements), the layer adjoints (``L N M``), the row and
+    adjoint tapes the recurrences build (``2 L (N-1) M``) and, on complex
+    tapes, their conjugates (``2 L (N-1) M`` more); the fold adds its
+    layers and recurrence columns (under ``2 L N^2``).  A complex element
+    counts as two float64s, so a block stays under ``ELEMENT_BUDGET``
+    float64s.
+    """
+    complex_ = np.issubdtype(dtype, np.complexfloating)
+    tapes = (6 if complex_ else 4) * num_layers + 1
+    per_set = (tapes * n * m + 2 * num_layers * n * n) * (2 if complex_ else 1)
+    return max(1, ELEMENT_BUDGET // per_set)
+
+
+def _sweep_block(
+    network: QuantumNetwork,
+    mesh,
+    k: int,
     inputs: np.ndarray,
     targets: np.ndarray,
     loss: Loss,
     projection: Optional[Projection],
-) -> Tuple[float, np.ndarray]:
-    """Vectorised adjoint: per-layer GEMMs instead of a per-gate walk.
+    dtype: np.dtype,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`adjoint_sweep`: ``k`` parameter sets.
 
-    Builds the prefix/suffix workspace — the chain recurrence of
-    :mod:`repro.backends.fold` plus ``O(num_layers)`` stacked GEMMs in
-    :meth:`PrefixSuffixWorkspace._build_vectorized`, with no per-gate
-    Python work — and contracts the loss
-    adjoint through the suffix columns, reading the ``theta`` and
-    ``alpha`` gradients off the one tape.  Mathematically identical to
-    the per-gate backward walk (both compute
-    ``Re <lam, S_i dG_i (P_i X)>``); agreement is at rounding level
-    (<= 1e-12 on unit problems).
-
-    Works on any backend: caching backends serve the workspace
-    themselves, others (the ``loop`` reference) get one built directly
-    from their compiled program.
+    ``mesh`` fields carry a leading ``k`` axis, or none when they describe
+    the one set of a ``k = 1`` block (they then broadcast).
     """
-    backend = getattr(network, "backend", None)
-    if backend is not None and backend.supports_cached_gradients:
-        ws = backend.gradient_workspace(inputs)
-    else:
-        from repro.backends.cached import PrefixSuffixWorkspace
-        from repro.backends.program import compile_program
+    layers = mesh.layers
+    num_layers = layers.shape[-3]
+    n, m = inputs.shape
 
-        program = (
-            backend.program if backend is not None else compile_program(network)
+    # 1. Forward chain: xs[:, p] is the input of layer p.
+    xs = np.empty((k, num_layers + 1, n, m), dtype=dtype)
+    xs[:, 0] = inputs
+    for p in range(num_layers):
+        np.matmul(layers[..., p, :, :], xs[:, p], out=xs[:, p + 1])
+
+    # 2. Loss and output adjoint per set, then the pull-back:
+    #    mus[:, p] is the adjoint at the output of layer p.
+    values = np.empty(k)
+    mus = np.empty((k, num_layers, n, m), dtype=dtype)
+    for r in range(k):
+        values[r], mus[r, -1] = _adjoint_loss_and_lambda(
+            xs[r, -1], dtype, targets, loss, projection
         )
-        ws = PrefixSuffixWorkspace(network, program, inputs)
-    return _batched_derivative_grad(
-        ws, network.num_parameters, targets, loss, projection
+    back = np.swapaxes(
+        layers.conj() if np.iscomplexobj(layers) else layers, -1, -2
     )
+    for p in range(num_layers - 1, 0, -1):
+        np.matmul(back[..., p, :, :], mus[:, p], out=mus[:, p - 1])
+
+    # 3.-4. Gate tapes and the elementwise gradient read-off.
+    r0, r1, l0, l1 = _gate_tapes(
+        mesh, network.descending, xs[:, :num_layers], mus
+    )
+    if np.iscomplexobj(l0):
+        l0, l1 = l0.conj(), l1.conj()
+    r0l0 = np.einsum("...m,...m->...", r0, l0)
+    r0l1 = np.einsum("...m,...m->...", r0, l1)
+    r1l0 = np.einsum("...m,...m->...", r1, l0)
+    r1l1 = np.einsum("...m,...m->...", r1, l1)
+    c, s, pc, ps = mesh.c, mesh.s, mesh.pc, mesh.ps
+    # dG/dtheta = [[-ps, -c], [pc, -s]], dG/dalpha = i [[pc, 0], [ps, 0]].
+    gth = np.real(pc * r0l1 - ps * r0l0 - c * r1l0 - s * r1l1)
+    grads = np.empty((k, network.num_parameters))
+    num_thetas = network.num_thetas
+    grads[:, :num_thetas] = gth.reshape(-1, num_thetas)
+    if network.allow_phase:
+        gal = np.real(1j * (pc * r0l0 + ps * r0l1))
+        grads[:, num_thetas:] = gal.reshape(-1, num_thetas)
+    return values, grads
+
+
+def _gate_tapes(
+    mesh, descending: bool, x: np.ndarray, mu: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-gate rows and adjoints of every layer, ``(k, L, N-1, M)`` each.
+
+    ``x`` holds the layer inputs and ``mu`` the adjoints at the layer
+    outputs, ``(k, L, N, M)``.  Entry ``j`` belongs to the gate on modes
+    ``(j, j+1)``: ``r0, r1`` are the two rows it reads and ``l0, l1`` the
+    adjoint at its two output rows.  Inside a chain each gate meets rows
+    the others have finished with (``G = [[pc, -s], [ps, c]]``, pulled
+    back by ``G^dagger``):
+
+    - ascending: ``r0_0 = x_0``, ``r0_j = ps_{j-1} r0_{j-1} + c_{j-1}
+      x_j``, ``r1_j = x_{j+1}``; ``l0_j = mu_j``, and ``l1_j = w_{j+1}^H
+      mu`` with ``w`` the recurrence columns of
+      :func:`~repro.backends.fold.chain_layers` (``l1_{N-2} = mu_{N-1}``,
+      ``l1_j = conj(pc_{j+1}) mu_{j+1} + conj(ps_{j+1}) l1_{j+1}``);
+    - descending: ``r0_j = x_j``, ``r1_{N-2} = x_{N-1}``, ``r1_{j-1} =
+      pc_j x_j - s_j r1_j``; ``l1_j = mu_{j+1}``, and ``l0_j = u_j^T mu``
+      with ``u`` the recurrence columns (``l0_0 = mu_0``, ``l0_j =
+      c_{j-1} mu_j - s_{j-1} l0_{j-1}``).
+
+    The row recurrence runs vectorised over ``(k, L, M)``; the adjoint
+    one is a single batched GEMM on the columns the fold already built.
+    """
+    c, s, pc, ps = mesh.c, mesh.s, mesh.pc, mesh.ps
+    cols = np.swapaxes(
+        mesh.cols.conj() if np.iscomplexobj(mesh.cols) else mesh.cols, -1, -2
+    )
+    k, num_layers, n, m = x.shape
+    g = n - 1
+    if not descending:
+        r0 = np.empty((k, num_layers, g, m), dtype=x.dtype)
+        r0[:, :, 0] = x[:, :, 0]
+        for j in range(1, g):
+            r0[:, :, j] = (
+                ps[..., j - 1, None] * r0[:, :, j - 1]
+                + c[..., j - 1, None] * x[:, :, j]
+            )
+        return r0, x[:, :, 1:], mu[:, :, :g], cols[..., 1:, :] @ mu
+    r1 = np.empty((k, num_layers, g, m), dtype=x.dtype)
+    r1[:, :, g - 1] = x[:, :, g]
+    for j in range(g - 1, 0, -1):
+        r1[:, :, j - 1] = (
+            pc[..., j, None] * x[:, :, j] - s[..., j, None] * r1[:, :, j]
+        )
+    return x[:, :, :g], r1, cols @ mu, mu[:, :, 1:]
 
 
 def _loss_and_grad_adjoint(
@@ -552,12 +744,20 @@ def _loss_and_grad_adjoint(
 
     - ``engine="looped"`` — the per-gate Python walk below, the
       bit-exact reference;
-    - ``engine="batched"`` (default) — the numpy vectorised sweep
-      (:func:`_adjoint_vectorized`), stacked per-layer GEMMs via the
-      prefix/suffix workspace's cross-layer recurrence.
+    - ``engine="batched"`` (default) — :func:`adjoint_sweep` with
+      ``K = 1``, on the backend's cached fold when it matches.
     """
     if engine == "batched":
-        return _adjoint_vectorized(network, inputs, targets, loss, projection)
+        params = network.get_flat_params()
+        backend = getattr(network, "backend", None)
+        mesh = None if backend is None else backend.cached_mesh(params)
+        if mesh is None:
+            mesh = mesh_layers(network, params[None])
+        values, grads = _sweep_block(
+            network, mesh, 1, inputs, targets, loss, projection,
+            network.result_dtype(inputs),
+        )
+        return float(values[0]), grads[0]
     trace = network.forward_trace(np.asarray(inputs))
     base, lam = _adjoint_loss_and_lambda(
         trace.output, trace.row_tape.dtype, targets, loss, projection
@@ -684,7 +884,7 @@ def loss_and_gradient(
     engine:
         How the gradient is driven: ``"batched"`` (the default —
         layer-stacked einsums for the workspace methods, the
-        vectorised sweep for ``"adjoint"``) or ``"looped"`` (one
+        layer-level sweep for ``"adjoint"``) or ``"looped"`` (one
         parameter / one gate at a time, the bit-exact reference).
         Ignored only by the re-execution fallback of
         ``fd``/``central``/``derivative`` (networks whose backend lacks
@@ -708,22 +908,9 @@ def loss_and_gradient(
             f"{available_gradient_methods()}"
         )
     eng = validate_gradient_engine(engine)
-    arr = np.asarray(inputs)
-    tgt = np.asarray(targets)
-    if arr.ndim != 2 or arr.shape[0] != network.dim:
-        raise GradientError(
-            f"inputs must be (N={network.dim}, M), got shape {arr.shape}"
-        )
-    if tgt.shape != arr.shape:
-        raise GradientError(
-            f"targets shape {tgt.shape} != inputs shape {arr.shape}"
-        )
-    if projection is not None and projection.dim != network.dim:
-        raise GradientError(
-            f"projection dim {projection.dim} != network dim {network.dim}"
-        )
-    if loss is None:
-        loss = SquaredErrorLoss(reduction="mean")
+    arr, tgt, loss = _checked_problem(
+        network, inputs, targets, loss, projection
+    )
     step = _DEFAULT_DELTAS[key] if delta is None else float(delta)
     if key in ("fd", "central") and step <= 0:
         raise GradientError(f"delta must be positive for {key!r}, got {step}")

@@ -226,10 +226,10 @@ class Trainer:
         fused backend accelerates the perturbative gradient methods
         (``fd``/``central``/``derivative``) via prefix/suffix caching.
     grad_engine:
-        How workspace-backed gradient evaluations are driven:
-        ``"batched"`` (layer-stacked einsums, the default) or ``"looped"``
-        (per-parameter reference); ``None`` uses the default.  Only
-        meaningful with a caching backend — see
+        How gradient evaluations are driven: ``"batched"`` (the
+        default — layer-stacked einsums for the workspace methods, the
+        layer-level adjoint sweep) or ``"looped"`` (per-parameter / per-gate
+        reference); ``None`` uses the default.  See
         :func:`repro.training.gradients.loss_and_gradient`.
     parallel:
         Data-parallel gradient execution: ``None`` (single-process,

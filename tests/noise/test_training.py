@@ -25,10 +25,16 @@ def _ae_params(ae):
     )
 
 
-def _network(seed=11, dim=8, layers=3, backend="fused"):
-    return QuantumNetwork(dim, layers, backend=backend).initialize(
-        "uniform", rng=np.random.default_rng(seed)
-    )
+def _network(seed=11, dim=8, layers=3, backend="fused", allow_phase=False):
+    rng = np.random.default_rng(seed)
+    net = QuantumNetwork(
+        dim, layers, backend=backend, allow_phase=allow_phase
+    ).initialize("uniform", rng=rng)
+    if allow_phase:
+        params = net.get_flat_params()
+        params[net.num_thetas:] = rng.uniform(-np.pi, np.pi, net.num_thetas)
+        net.set_flat_params(params)
+    return net
 
 
 def _batch(dim=8, m=10, seed=7):
@@ -72,10 +78,19 @@ class TestNoisyGradient:
         assert value == ref_v
         assert np.array_equal(grad, ref_g)
 
-    def test_matches_manual_average(self):
-        net = _network()
+    @pytest.mark.parametrize("network", ["fused", "fused-phase", "loop"])
+    @pytest.mark.parametrize("engine", ["batched", "looped"])
+    @pytest.mark.parametrize(
+        "method", ["adjoint", "derivative", "fd", "central"]
+    )
+    def test_matches_manual_average(self, method, engine, network):
+        net = _network(
+            backend="loop" if network == "loop" else "fused",
+            allow_phase=network == "fused-phase",
+        )
         x, t = _batch()
         K = 3
+        kwargs = dict(method=method, engine=engine)
         base = net.get_flat_params().copy()
         grads, values = [], []
         for r in range(K):
@@ -84,13 +99,13 @@ class TestNoisyGradient:
                 seed=5, epoch=2, realization=r, stream=1,
             )
             net.set_flat_params(base + eps)
-            v, g = loss_and_gradient(net, x, t)
+            v, g = loss_and_gradient(net, x, t, **kwargs)
             values.append(v)
             grads.append(g)
         net.set_flat_params(base)
         value, grad = noisy_loss_and_gradient(
             net, x, t, model=JITTERY, trajectories=K, seed=5, epoch=2,
-            stream=1,
+            stream=1, **kwargs,
         )
         from repro.parallel.reducer import tree_reduce
 

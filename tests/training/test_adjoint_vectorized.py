@@ -1,13 +1,14 @@
-"""The vectorised adjoint sweep vs the per-gate reference walk.
+"""The layer-level adjoint sweep vs the per-gate reference walk.
 
-``method="adjoint"`` with the default
-``engine="batched"`` pulls the loss adjoint back through stacked
-per-layer GEMMs (the prefix/suffix workspace's cross-layer recurrence)
-instead of walking gates in Python; ``engine="looped"`` keeps the
-original walk as the bit-exact reference.  Both are exact reverse-mode,
-so they agree at rounding level on every dim / order / dtype / backend
-combination — including the complex (``allow_phase``) extension, whose
-theta *and* alpha gradients read off the same tape.
+``method="adjoint"`` with the default ``engine="batched"`` pulls the loss
+adjoint back one layer GEMM at a time and reads every gate's rows and
+adjoints off in-layer recurrences
+(:func:`repro.training.gradients.adjoint_sweep`) instead of walking gates
+in Python; ``engine="looped"`` keeps the original walk as the reference.
+Both are exact reverse-mode, so they agree at rounding level on every
+dim / order / dtype / backend / projection / loss combination —
+including the complex (``allow_phase``) extension, whose theta *and*
+alpha gradients read off the same tape.
 """
 
 import numpy as np
@@ -15,8 +16,14 @@ import pytest
 
 from repro.network import Projection, QuantumNetwork
 from repro.training.gradients import loss_and_gradient
+from repro.training.loss import FidelityLoss, SquaredErrorLoss
 
-DIMS = [3, 5, 8]
+DIMS = [2, 3, 4, 5, 8, 16]
+LOSSES = {
+    "se-sum": SquaredErrorLoss("sum"),
+    "se-mean": SquaredErrorLoss("mean"),
+    "fidelity": FidelityLoss(),
+}
 
 
 def make_network(dim, layers=3, descending=False, allow_phase=False,
@@ -45,20 +52,19 @@ def batch(dim, m=7, complex_=False, seed=5):
 @pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("allow_phase", [False, True])
 @pytest.mark.parametrize("backend", ["loop", "fused"])
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("loss_name", sorted(LOSSES))
 def test_vectorized_adjoint_matches_walk(dim, descending, allow_phase,
-                                         backend):
+                                         backend, projected, loss_name):
     net = make_network(
         dim, descending=descending, allow_phase=allow_phase, backend=backend
     )
     x = batch(dim, complex_=allow_phase)
     t = batch(dim, complex_=allow_phase, seed=6)
-    proj = Projection.last(dim, max(1, dim // 2))
-    l1, g1 = loss_and_gradient(
-        net, x, t, projection=proj, method="adjoint", engine="looped"
-    )
-    l2, g2 = loss_and_gradient(
-        net, x, t, projection=proj, method="adjoint", engine="batched"
-    )
+    proj = Projection.last(dim, max(1, dim // 2)) if projected else None
+    kwargs = dict(loss=LOSSES[loss_name], projection=proj, method="adjoint")
+    l1, g1 = loss_and_gradient(net, x, t, engine="looped", **kwargs)
+    l2, g2 = loss_and_gradient(net, x, t, engine="batched", **kwargs)
     assert g1.shape == g2.shape == (net.num_parameters,)
     assert l1 == pytest.approx(l2, abs=1e-12)
     assert np.max(np.abs(g1 - g2)) < 1e-12
@@ -80,8 +86,8 @@ def test_vectorized_adjoint_complex_network_vs_derivative(dim):
 
 
 def test_vectorized_adjoint_backend_independent():
-    """The vectorised sweep gives the same gradient on loop and fused
-    (loop builds its workspace directly from the compiled program)."""
+    """The sweep gives the same gradient on loop and fused (loop folds
+    its own layers, fused serves its cached fold)."""
     loop = make_network(6, 4)
     fused = loop.copy().set_backend("fused")
     x, t = batch(6), batch(6, seed=6)
