@@ -31,6 +31,7 @@ full `/healthz` surface: queue depth, served/rejected/expired counters
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -154,13 +155,15 @@ class MicroBatcher:
     ) -> Future:
         """Enqueue one ``(N,)`` classical sample; returns its Future.
 
-        Shape/finiteness/encodability are validated here, per request, so
-        those failures raise at their own submit call instead of
-        poisoning a whole tick (each such raise counts as a *rejection*
-        in :attr:`stats`).  Failures only detectable inside the batched
-        pass (a ``renormalize`` session hitting a sample with near-zero
-        mass in the kept subspace) still fail tick-wide: the exception is
-        set on every future of that tick.
+        Shape and encodability are validated here, per request, with one
+        scalar ``sum x^2``: a NaN/Inf entry, a norm that overflows
+        ``float64`` and an all-zero sample all show in it.  Those failures
+        raise :class:`~repro.exceptions.ServingError` at their own submit
+        call instead of poisoning a whole tick (each such raise counts as
+        a *rejection* in :attr:`stats`).  Failures only detectable inside
+        the batched pass (a ``renormalize`` session hitting a sample with
+        near-zero mass in the kept subspace) still fail tick-wide: the
+        exception is set on every future of that tick.
 
         ``deadline`` is an absolute :func:`time.monotonic` instant; a
         request still queued when it passes is dropped at drain time
@@ -174,9 +177,14 @@ class MicroBatcher:
                     f"request length {arr.size} != session dim "
                     f"{self.session.dim}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ServingError("request contains NaN or Inf")
-            if float(arr @ arr) <= _ZERO_NORM_ATOL:
+            sq = float(arr @ arr)
+            if not math.isfinite(sq):
+                raise ServingError(
+                    "request contains NaN or Inf"
+                    if not np.isfinite(arr).all()
+                    else "request's squared norm overflows float64"
+                )
+            if sq <= _ZERO_NORM_ATOL:
                 raise ServingError(
                     "all-zero request cannot be amplitude-encoded (Eq. 1 "
                     "divides by its norm)"
@@ -293,7 +301,7 @@ class MicroBatcher:
         ]
         if not live:
             return 0  # every request cancelled/expired; skip the GEMM
-        tick = np.stack([arr for arr, _, _ in alive])
+        tick = np.array([arr for arr, _, _ in alive])
         t0 = time.perf_counter()
         try:
             out = self.session.reconstruct(tick)

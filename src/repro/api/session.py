@@ -21,18 +21,29 @@ or, when a :class:`~repro.parallel.pool.WorkerPool` is attached,
 *scatter* to column shards that the worker processes compute
 concurrently (the operators ship to the workers once per pool, so a
 serving loop pays only the batch transfer per tick).
+
+Each public entry point validates its input **once**, at the boundary
+(:func:`_sample_rows` for classical data, :meth:`InferenceSession.decompress`
+for wire payloads); past it the tick runs on plain ``float64`` arrays:
+Eq. 1 is one division by the row norms, Eq. 2 one product with them, and
+the operator is a single ``np.matmul``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.codec import CompressedBatch
 from repro.backends.fold import fold, mesh_layers
-from repro.encoding.amplitude import AmplitudeCodec, decode_batch
-from repro.exceptions import DimensionError, ServingError
+from repro.encoding.amplitude import _ZERO_NORM_ATOL
+from repro.exceptions import (
+    DimensionError,
+    EncodingError,
+    NormalizationError,
+    ServingError,
+)
 from repro.network.autoencoder import (
     QuantumAutoencoder,
     renormalization_norms,
@@ -40,6 +51,60 @@ from repro.network.autoencoder import (
 from repro.parallel.batch import chunked_apply
 
 __all__ = ["InferenceSession"]
+
+
+def _sample_rows(X, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The serving boundary for classical data: validate ``X`` once.
+
+    Returns the ``(M, dim)`` C-contiguous ``float64`` sample matrix (1-D
+    input is one row) and its ``(M,)`` squared norms — Eq. 2's side
+    channel.  The finiteness and zero-norm decisions are made on the norm
+    vector alone: a NaN/Inf entry, or a row whose ``sum x^2`` overflows,
+    makes its norm non-finite.  The matrix itself is read again only to
+    word the error.
+    """
+    mat = np.ascontiguousarray(X, dtype=np.float64)
+    if mat.ndim == 1:
+        mat = mat.reshape(1, -1)
+    if mat.ndim != 2:
+        raise DimensionError(f"X must be 2-D, got shape {mat.shape}")
+    if mat.shape[1] != dim:
+        raise DimensionError(
+            f"session is bound to dim {dim}, got data of width "
+            f"{mat.shape[1]}"
+        )
+    if mat.shape[0] == 0:
+        raise DimensionError("X must be non-empty")
+    sq = np.einsum("mn,mn->m", mat, mat)
+    if not (sq.min() > _ZERO_NORM_ATOL and sq.max() < np.inf):
+        if not np.isfinite(mat).all():
+            raise DimensionError("X contains NaN or Inf values")
+        overflow = np.flatnonzero(sq == np.inf)
+        if overflow.size:
+            raise NormalizationError(
+                f"sample {overflow[0]} has a squared norm that overflows "
+                "float64 and cannot be amplitude-encoded"
+            )
+        raise NormalizationError(
+            f"sample {int(np.argmin(sq))} is all-zero and cannot be "
+            "amplitude-encoded"
+        )
+    return mat, sq
+
+
+def _encode(mat: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Eq. 1 on validated rows: the ``(N, M)`` unit-norm amplitude columns.
+
+    C-contiguous like :func:`~repro.encoding.amplitude.encode_batch`'s: a
+    transposed F-order operand changes the GEMM's BLAS blocking and so the
+    last bits of the result.
+    """
+    return np.ascontiguousarray((mat / norms[:, None]).T)
+
+
+def _decode(amplitudes: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Eq. 2 on validated norms: ``(N, M)`` output amplitudes -> ``(M, N)``."""
+    return (np.abs(amplitudes) * norms[None, :]).T
 
 
 class InferenceSession:
@@ -105,7 +170,6 @@ class InferenceSession:
         self._compressed_dim = autoencoder.compressed_dim
         self._renormalize = autoencoder.renormalize
         self._keep = autoencoder.projection.keep.copy()
-        self._codec = AmplitudeCodec(self._dim)
         self._chunk_size = int(chunk_size)
         # The live networks' dense unitaries, folded directly from their
         # parameters whatever backend they run on.
@@ -239,10 +303,12 @@ class InferenceSession:
     # batch serving
     # ------------------------------------------------------------------
     def _apply(self, op: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        # Oversized ticks scatter across the attached worker pool; the
-        # single-process path streams through chunked_apply, which
-        # degenerates to one matmul when the batch fits in a chunk.
-        if self._pool is not None and batch.shape[1] > self._chunk_size:
+        # A tick that fits one chunk is one matmul on the validated batch;
+        # oversized ticks scatter across the attached worker pool or
+        # stream through chunked_apply in-process.
+        if batch.shape[1] <= self._chunk_size:
+            return np.matmul(op, batch)
+        if self._pool is not None:
             return self._pool.apply_dense(op, batch)
         return chunked_apply(op, batch, chunk_size=self._chunk_size)
 
@@ -285,8 +351,9 @@ class InferenceSession:
         averages the exact channel probabilities over the frozen noisy
         realizations of *both* meshes and decodes ``sqrt(p)`` magnitudes.
         """
-        encoded = self._codec.encode(np.asarray(X, dtype=np.float64))
-        amps = encoded.amplitudes()
+        mat, sq = _sample_rows(X, self._dim)
+        norms = np.sqrt(sq)
+        amps = _encode(mat, norms)
         if self._noise is not None:
             b = self._noisy_amplitudes(
                 self._embed_codes(enc @ amps) for enc in self._noisy_encode_ops
@@ -296,45 +363,51 @@ class InferenceSession:
             b = self._apply(self._decode_op, codes / self._code_norms(codes))
         else:
             b = self._apply(self._pipeline_op, amps)
-        return decode_batch(b, encoded.squared_norms)
+        return _decode(b, norms)
 
     def compress(self, X: np.ndarray) -> CompressedBatch:
         """The ``(d, M)`` wire payload via the precompiled encode operator."""
-        encoded = self._codec.encode(np.asarray(X, dtype=np.float64))
-        codes = self._apply(self._encode_op, encoded.amplitudes())
+        mat, sq = _sample_rows(X, self._dim)
+        codes = self._apply(self._encode_op, _encode(mat, np.sqrt(sq)))
         if self._renormalize:
             codes = codes / self._code_norms(codes)
-        return CompressedBatch(
-            codes=codes, squared_norms=encoded.squared_norms
-        )
+        return CompressedBatch(codes=codes, squared_norms=sq)
 
     def decompress(
         self,
         compressed: Union[CompressedBatch, np.ndarray],
         squared_norms: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Reconstruct classical data from codes (receiver side)."""
+        """Reconstruct classical data from codes (receiver side).
+
+        The payload is validated once here: ``(d, M)`` numeric, finite
+        codes (:class:`DimensionError` otherwise) and positive, finite
+        norms (:class:`EncodingError` otherwise, as Eq. 2 takes their
+        square root).
+        """
         payload = CompressedBatch.coerce(compressed, squared_norms)
+        codes, sq = payload.codes, payload.squared_norms
         if payload.compressed_dim != self._compressed_dim:
             raise DimensionError(
                 f"expected ({self._compressed_dim}, M) codes, got "
-                f"{payload.codes.shape}"
+                f"{codes.shape}"
             )
+        if codes.dtype.kind not in "biufc":
+            raise DimensionError(
+                f"codes must be numeric, got dtype {codes.dtype}"
+            )
+        if not np.isfinite(codes).all():
+            raise DimensionError("codes contain NaN or Inf values")
+        if sq.size and not (sq.min() > 0 and sq.max() < np.inf):
+            raise EncodingError("squared_norms must be positive and finite")
         if self._noise is not None:
             # Receiver-side noise only: the codes on the wire are
             # classical, the reconstruction mesh is the noisy hardware.
-            codes = np.asarray(payload.codes, dtype=np.float64)
-            phi = self._embed_codes(codes)
-            return decode_batch(
-                self._noisy_amplitudes(
-                    phi for _ in self._noisy_decode_mats
-                ),
-                payload.squared_norms,
-            )
-        return decode_batch(
-            self._apply(self._decode_op, payload.codes),
-            payload.squared_norms,
-        )
+            phi = self._embed_codes(np.asarray(codes, dtype=np.float64))
+            b = self._noisy_amplitudes(phi for _ in self._noisy_decode_mats)
+        else:
+            b = self._apply(self._decode_op, codes)
+        return _decode(b, np.sqrt(sq))
 
     # ------------------------------------------------------------------
     # request serving (micro-batched)

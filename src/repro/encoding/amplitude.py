@@ -116,7 +116,13 @@ def encode_vector(
             arr = np.concatenate([arr, np.zeros(target - arr.size)])
     else:
         check_power_of_two(arr.size, name="len(x)")
-    sq = float(np.dot(arr, arr))
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(arr, arr))
+    if not np.isfinite(sq):
+        raise NormalizationError(
+            "the squared norm of x overflows float64; it cannot be "
+            "amplitude-encoded"
+        )
     if sq <= _ZERO_NORM_ATOL:
         raise NormalizationError(
             "cannot amplitude-encode an all-zero sample (Eq. 1 divides by "
@@ -143,6 +149,12 @@ def encode_batch(
     else:
         check_power_of_two(mat.shape[1], name="X.shape[1]")
     sq = np.einsum("mn,mn->m", mat, mat)
+    if not np.isfinite(sq).all():
+        bad = int(np.flatnonzero(~np.isfinite(sq))[0])
+        raise NormalizationError(
+            f"sample {bad} has a squared norm that overflows float64 and "
+            "cannot be amplitude-encoded"
+        )
     if np.any(sq <= _ZERO_NORM_ATOL):
         bad = int(np.argmin(sq))
         raise NormalizationError(

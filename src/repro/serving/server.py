@@ -54,6 +54,7 @@ from repro.api.codec import CompressedBatch
 from repro.exceptions import (
     DeadlineExpired,
     DimensionError,
+    EncodingError,
     ProtocolError,
     ServingError,
 )
@@ -384,7 +385,10 @@ class ServingFrontend:
             self._counters["expired"] += 1
             await self._write_error(writer, lock, frame.req_id,
                                     ErrorCode.DEADLINE, str(exc))
-        except (ProtocolError, DimensionError, ServingError) as exc:
+        except (ProtocolError, DimensionError, EncodingError,
+                ServingError) as exc:
+            # Input the client can fix: malformed frames, wrong shapes,
+            # rows Eq. 1 cannot encode, norms Eq. 2 cannot decode.
             self._counters["bad_request"] += 1
             await self._write_error(writer, lock, frame.req_id,
                                     ErrorCode.BAD_REQUEST, str(exc))

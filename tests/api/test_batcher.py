@@ -39,6 +39,25 @@ class TestValidation:
             batcher.submit(np.zeros(4))  # not encodable
         assert batcher.pending == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_rejected_and_neighbour_served(self):
+        """Finite entries whose ``sum x^2`` overflows are refused at their
+        own submit; the requests around it share a tick and are served."""
+        session = _session()
+        batcher = MicroBatcher(session, max_batch_size=2, flush_latency=None)
+        good = _requests(m=2)
+        first = batcher.submit(good[0])
+        with pytest.raises(ServingError, match="overflow"):
+            batcher.submit(np.full(4, 1e200))
+        second = batcher.submit(good[1])  # fills the tick
+        expected = session.reconstruct(good)
+        assert np.array_equal(first.result(timeout=1.0), expected[0])
+        assert np.array_equal(second.result(timeout=1.0), expected[1])
+        stats = batcher.stats
+        assert stats["rejected_requests"] == 1
+        assert stats["served_requests"] == 2
+        assert stats["ticks"] == 1
+
 
 class TestFlushTriggers:
     def test_manual_flush_serves_everything(self):

@@ -37,6 +37,10 @@ class TestEncodeVector:
         with pytest.raises(NormalizationError, match="all-zero"):
             encode_vector([0.0, 0.0])
 
+    def test_overflowing_norm_rejected(self):
+        with pytest.raises(NormalizationError, match="overflow"):
+            encode_vector([1e200, 1e200])
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
             encode_vector([1.0, 2.0, 3.0])
@@ -101,6 +105,14 @@ class TestEncodeBatch:
         X = np.ones((3, 4))
         X[1] = 0.0
         with pytest.raises(NormalizationError, match="sample 1"):
+            encode_batch(X)
+
+    def test_overflowing_norm_rejected(self):
+        """Finite entries whose ``sum x^2`` overflows would encode to
+        all-zero amplitudes with an infinite norm."""
+        X = np.ones((3, 4))
+        X[2] = 1e200
+        with pytest.raises(NormalizationError, match="sample 2"):
             encode_batch(X)
 
     def test_padding(self):

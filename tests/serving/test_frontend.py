@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.api import Codec
+from repro.api.codec import CompressedBatch
 from repro.exceptions import ServingError
 from repro.serving import (
     AsyncServingClient,
     FaultInjectingSession,
     RequestShed,
+    ServerError,
     ServerHarness,
     ServingClient,
     fetch_json,
@@ -96,6 +98,42 @@ class TestBasics:
                     client.reconstruct(np.ones(3))  # wrong dim
                 # the connection survives the rejected request
                 assert client.ping()
+
+    def test_client_input_errors_answer_400_not_500(self, codec_session):
+        """Rows Eq. 1 cannot encode and payloads Eq. 2 cannot decode are
+        the client's to fix: 400 ``bad-request``, never 500 ``internal``."""
+        _, session = codec_session
+        X = _requests()
+        zero_row = X.copy()
+        zero_row[2] = 0.0
+        with ServerHarness(session) as harness:
+            with ServingClient(harness.host, harness.port) as client:
+                payload = client.compress(X)
+                bad_norms = CompressedBatch(
+                    codes=payload.codes,
+                    squared_norms=np.where(
+                        np.arange(len(X)) == 1, -1.0, payload.squared_norms
+                    ),
+                )
+                nan_codes = payload.codes.copy()
+                nan_codes[0, 0] = np.nan
+                requests = [
+                    lambda: client.reconstruct(zero_row),
+                    lambda: client.compress(zero_row),
+                    lambda: client.decompress(bad_norms),
+                    lambda: client.decompress(CompressedBatch(
+                        codes=nan_codes,
+                        squared_norms=payload.squared_norms,
+                    )),
+                ]
+                for request in requests:
+                    with pytest.raises(ServingError) as info:
+                        request()
+                    assert not isinstance(info.value, ServerError)
+                assert client.reconstruct(X).shape == X.shape
+            server = fetch_json(harness.host, harness.port, "/stats")["server"]
+        assert server["internal_errors"] == 0
+        assert server["bad_request"] == len(requests)
 
     def test_stats_visible_after_drain(self, codec_session):
         _, session = codec_session
