@@ -192,7 +192,7 @@ def measure_determinism() -> Dict:
         ),
     }
     for workers in POOL_SIZES:
-        with GradientReducer(num_workers=workers, seed=0) as reducer:
+        with GradientReducer(num_workers=workers) as reducer:
             v, g = reducer.noisy_loss_and_gradient(net, x, t, **kwargs)
         out[f"pool{workers}_bitwise"] = bool(
             v == ref_v and np.array_equal(g, ref_g)

@@ -85,7 +85,7 @@ def measure_agreement() -> Dict:
     x, t = _batch(AGREE_M, AGREE_DIM, seed=7)
     projection = Projection.last(AGREE_DIM, 4)
     out: Dict = {}
-    with GradientReducer(num_workers=AGREE_WORKERS, seed=0) as reducer:
+    with GradientReducer(num_workers=AGREE_WORKERS) as reducer:
         for method, reduction in (
             ("adjoint", "sum"),
             ("adjoint", "mean"),
@@ -141,7 +141,7 @@ def _epoch_throughput(reducer: Optional[GradientReducer],
 def measure_throughput() -> Dict:
     x, t = _batch(PERF_M, PERF_DIM, seed=3)
     single = _epoch_throughput(None, x, t)
-    with GradientReducer(num_workers=PERF_WORKERS, seed=0) as reducer:
+    with GradientReducer(num_workers=PERF_WORKERS) as reducer:
         multi = _epoch_throughput(reducer, x, t)
     return {
         "single_process_cols_per_s": single,

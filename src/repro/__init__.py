@@ -7,8 +7,6 @@ experiment harness that regenerates each figure and table:
 
 - :mod:`repro.simulator` — batched statevector simulation of beamsplitter
   circuits;
-- :mod:`repro.optics` — multiport-interferometer realisation (Clements/Reck
-  meshes, imperfection models);
 - :mod:`repro.encoding` — amplitude encoding/decoding (Eqs. 1-2);
 - :mod:`repro.network` — the compression/reconstruction networks and
   projections (Eqs. 3-4, 6);
@@ -20,8 +18,8 @@ experiment harness that regenerates each figure and table:
   images of Fig. 4a and generators);
 - :mod:`repro.experiments` — one entry point per paper artefact (fig4,
   fig5, table1) plus ablations;
-- :mod:`repro.parallel` — chunked batch execution and multiprocessing
-  sweeps;
+- :mod:`repro.parallel` — chunked batch execution, the persistent worker
+  pool and data-parallel gradient reduction;
 - :mod:`repro.noise` — the first-class hardware-noise model:
   :class:`NoiseModel` (angle jitter, per-gate loss, dephasing,
   depolarizing, finite shots) with exact density and scalable trajectory
@@ -66,7 +64,7 @@ from repro.network import (
     TruncatedInputTarget,
 )
 from repro.noise import NOISE_PRESETS, NoiseModel
-from repro.simulator import Circuit, QuantumState, StateBatch
+from repro.simulator import QuantumState, StateBatch
 from repro.training import (
     Trainer,
     TrainingHistory,
@@ -100,7 +98,6 @@ __all__ = [
     "TruncatedInputTarget",
     "NOISE_PRESETS",
     "NoiseModel",
-    "Circuit",
     "QuantumState",
     "StateBatch",
     "Trainer",

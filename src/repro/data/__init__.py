@@ -4,8 +4,8 @@ The authors never published their pixel data, so
 :func:`~repro.data.binary_images.paper_dataset` builds a deterministic
 substitute with the properties the paper's results require: 25 binary 4x4
 glyph-like images whose matrix has low effective rank (compressible into
-``d = 4`` amplitudes).  Generators for higher-rank binary sets, grayscale
-images and noise models support the ablation experiments.
+``d = 4`` amplitudes).  Generators for higher-rank binary sets and
+grayscale images feed the examples and tests.
 """
 
 from repro.data.dataset import ImageDataset
@@ -24,7 +24,6 @@ from repro.data.grayscale import (
     stripes,
     grayscale_dataset,
 )
-from repro.data.noise import flip_pixels, add_gaussian_noise, salt_and_pepper
 
 __all__ = [
     "ImageDataset",
@@ -43,7 +42,4 @@ __all__ = [
     "checkerboard",
     "stripes",
     "grayscale_dataset",
-    "flip_pixels",
-    "add_gaussian_noise",
-    "salt_and_pepper",
 ]

@@ -27,13 +27,6 @@ from repro.network.autoencoder import (
     QuantumAutoencoder,
     AutoencoderOutput,
 )
-from repro.network.expressivity import (
-    parameter_dimension,
-    minimum_layers,
-    universal_layers,
-    tangent_rank,
-    layer_coverage_report,
-)
 
 __all__ = [
     "GateLayer",
@@ -47,9 +40,4 @@ __all__ = [
     "ReconstructionNetwork",
     "QuantumAutoencoder",
     "AutoencoderOutput",
-    "parameter_dimension",
-    "minimum_layers",
-    "universal_layers",
-    "tangent_rank",
-    "layer_coverage_report",
 ]

@@ -12,13 +12,12 @@ application kernels operate in place on ``(N, M)`` column-state batches.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import NetworkConfigError
-from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
-from repro.simulator.circuit import Circuit
+from repro.simulator.gates import apply_givens_batch
 
 __all__ = ["GateLayer"]
 
@@ -137,14 +136,6 @@ class GateLayer:
         u = np.eye(self.dim, dtype=dtype)
         self.apply_inplace(u)
         return u
-
-    def as_circuit(self) -> Circuit:
-        """Expand into an explicit :class:`~repro.simulator.circuit.Circuit`."""
-        c = Circuit(self.dim)
-        for k in self.mode_sequence():
-            alpha = 0.0 if self.alphas is None else float(self.alphas[k])
-            c.append(BeamsplitterGate(int(k), float(self.thetas[k]), alpha))
-        return c
 
     def copy(self) -> "GateLayer":
         return GateLayer(

@@ -20,14 +20,13 @@ processes).  Select at construction or via :meth:`set_backend`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.backends import Backend, make_backend
 from repro.exceptions import DimensionError, NetworkConfigError
 from repro.network.layers import GateLayer
-from repro.simulator.circuit import Circuit
 from repro.simulator.gates import apply_givens_batch
 from repro.simulator.state import StateBatch
 from repro.utils.rng import ensure_rng
@@ -308,12 +307,6 @@ class QuantumNetwork:
         u = np.eye(self.dim, dtype=dtype)
         self.forward_inplace(u)
         return u
-
-    def as_circuit(self) -> Circuit:
-        c = Circuit(self.dim)
-        for layer in self.layers:
-            c.extend(layer.as_circuit().gates)
-        return c
 
     def reversed_structure(self) -> "QuantumNetwork":
         """Fresh network with the opposite gate order and zeroed parameters.

@@ -56,8 +56,8 @@ __all__ = [
     "trajectory_forward",
 ]
 
-#: Spawn-key tag segregating noise streams from the worker-pool streams
-#: (``worker_rng`` spawns on ``(index,)``; we always spawn on a 4-tuple).
+#: Spawn-key tag segregating noise streams from any other stream drawn
+#: from the same seed (we always spawn on this tagged 4-tuple).
 _SPAWN_TAG = 0x4E4F4953  # "NOIS"
 
 #: Stream ids: one independent stream per mesh plus one for measurement.

@@ -15,19 +15,11 @@ work with processes), this subpackage provides:
 - :mod:`~repro.parallel.reducer` — :class:`GradientReducer`, the
   data-parallel training engine: per-shard ``loss_and_gradient`` on the
   pool (batch or perturbation-stack sharding) combined by a
-  deterministic :func:`tree_reduce`, behind ``Trainer(parallel="pool")``;
-- :mod:`~repro.parallel.sweep` — a seeded multiprocessing executor for
-  parameter sweeps (layer counts, learning rates, noise levels), used by
-  the ablation experiments and built on :class:`WorkerPool`.
+  deterministic :func:`tree_reduce`, behind ``Trainer(parallel="pool")``.
 """
 
 from repro.parallel.batch import chunked_apply, chunked_forward, ChunkedPipeline
-from repro.parallel.pool import (
-    WorkerPool,
-    default_worker_count,
-    worker_index,
-    worker_rng,
-)
+from repro.parallel.pool import WorkerPool, default_worker_count
 from repro.parallel.reducer import (
     GradientReducer,
     resolve_parallel_workers,
@@ -35,7 +27,6 @@ from repro.parallel.reducer import (
     validate_parallel_spec,
 )
 from repro.parallel.sharding import Shard, plan_shards, shard_views
-from repro.parallel.sweep import SweepResult, run_sweep, sweep_grid
 
 __all__ = [
     "chunked_apply",
@@ -43,16 +34,11 @@ __all__ = [
     "ChunkedPipeline",
     "GradientReducer",
     "Shard",
-    "SweepResult",
     "WorkerPool",
     "default_worker_count",
     "plan_shards",
     "resolve_parallel_workers",
-    "run_sweep",
     "shard_views",
-    "sweep_grid",
     "tree_reduce",
     "validate_parallel_spec",
-    "worker_index",
-    "worker_rng",
 ]

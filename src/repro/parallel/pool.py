@@ -1,17 +1,12 @@
 """Persistent multi-process execution: :class:`WorkerPool`.
 
-``run_sweep`` historically built an ephemeral ``multiprocessing.Pool``
-per call — fine for a one-shot ablation grid, useless for serving, where
-the same workers must survive across many scattered batches.  This
-module extracts that spawn-pool plumbing into a reusable engine:
+Serving and data-parallel training need the same workers to survive
+across many scattered batches, so the pool is a reusable engine:
 
 - **Lifecycle** — construction is free; workers spawn lazily on first
   use, survive across calls, shut down via :meth:`WorkerPool.close` /
   the context manager, and are reaped by a ``weakref`` finalizer as a
   last resort (no leaked processes, no leaked shared memory).
-- **One-time payload shipping** — an ``initializer`` runs once per
-  worker at spawn (``run_sweep`` ships its worker callable this way;
-  per-task payloads stay small).
 - **Shared-memory block transfer** — ``(N, M)`` float64/complex128
   batches move through :mod:`multiprocessing.shared_memory` segments,
   not pickles: :meth:`WorkerPool.scatter_gather` scatters column shards
@@ -20,8 +15,8 @@ module extracts that spawn-pool plumbing into a reusable engine:
   once per pool and cached worker-side).
 
 Workers are always ``spawn``-context (fork-safety with BLAS threads) and
-are pinned to single-threaded BLAS by default so ``K`` workers use ``K``
-cores instead of fighting over ``K x num_blas_threads``.
+are pinned to single-threaded BLAS so ``K`` workers use ``K`` cores
+instead of fighting over ``K x num_blas_threads``.
 """
 
 from __future__ import annotations
@@ -32,21 +27,16 @@ import threading
 import time
 import weakref
 from multiprocessing import get_context, shared_memory
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import DimensionError, ExperimentError
 from repro.parallel.sharding import plan_shards
 
-__all__ = [
-    "WorkerPool",
-    "default_worker_count",
-    "worker_rng",
-    "worker_index",
-]
+__all__ = ["WorkerPool", "default_worker_count"]
 
-#: Environment knobs that cap BLAS threading in spawned workers.
+#: Environment knobs that pin spawned workers to one BLAS thread.
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -89,60 +79,6 @@ def attach_shared_block(name: str) -> shared_memory.SharedMemory:
     stdlib contract moves again.
     """
     return shared_memory.SharedMemory(name=name)
-
-
-# ----------------------------------------------------------------------
-# worker-side seeded RNG (per-worker streams for stochastic workloads)
-# ----------------------------------------------------------------------
-#: Set by :func:`_seeded_initializer` inside each worker of a pool
-#: constructed with ``seed=...``; ``None`` in the parent process and in
-#: workers of unseeded pools.
-_WORKER_RNG: Optional[np.random.Generator] = None
-_WORKER_INDEX: Optional[int] = None
-
-
-def worker_index() -> Optional[int]:
-    """This worker's 0-based slot in a seeded pool (``None`` elsewhere)."""
-    return _WORKER_INDEX
-
-
-def worker_rng() -> np.random.Generator:
-    """This worker's seeded generator (pools constructed with ``seed=``).
-
-    Each worker claims a distinct index ``i`` at spawn and derives its
-    stream from ``SeedSequence(seed, spawn_key=(i,))``, so the *set* of
-    streams across the pool is a pure function of ``(seed, processes)``
-    — shot-noise and stochastic-gradient workloads are reproducible
-    run-to-run.  (Which OS process holds which index is scheduler
-    dependent; workloads needing per-*task* determinism should key their
-    randomness on the task payload instead.)
-    """
-    if _WORKER_RNG is None:
-        raise ExperimentError(
-            "worker_rng() is only defined inside a worker of a "
-            "WorkerPool constructed with seed=...; this process has no "
-            "seeded stream"
-        )
-    return _WORKER_RNG
-
-
-def _seeded_initializer(
-    seed: int,
-    counter,
-    user_initializer: Optional[Callable],
-    user_initargs: Tuple,
-) -> None:
-    """Claim a worker slot, seed this worker's stream, chain the user init."""
-    global _WORKER_RNG, _WORKER_INDEX
-    with counter.get_lock():
-        index = int(counter.value)
-        counter.value = index + 1
-    _WORKER_INDEX = index
-    _WORKER_RNG = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(index,))
-    )
-    if user_initializer is not None:
-        user_initializer(*user_initargs)
 
 
 # ----------------------------------------------------------------------
@@ -234,19 +170,6 @@ class WorkerPool:
     processes:
         Worker count; ``None`` uses :func:`default_worker_count` (the
         CPU-affinity mask, not the host core count).
-    initializer, initargs:
-        Run once in every worker at spawn — the one-time payload ship
-        (compiled programs, worker callables).  Per-task payloads should
-        stay small.
-    blas_threads:
-        BLAS thread cap exported to workers at spawn (``None`` leaves
-        the environment alone).  Defaults to 1: ``K`` workers on ``K``
-        cores, no oversubscription.
-    seed:
-        When given, every worker receives a distinct deterministic RNG
-        stream at spawn (``SeedSequence(seed, spawn_key=(i,))`` for slot
-        ``i``), readable inside tasks via :func:`worker_rng` /
-        :func:`worker_index`.  ``None`` (default) skips the plumbing.
 
     Examples
     --------
@@ -255,14 +178,7 @@ class WorkerPool:
     [2, 1, 0]
     """
 
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        initializer: Optional[Callable] = None,
-        initargs: Sequence = (),
-        blas_threads: Optional[int] = 1,
-        seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, processes: Optional[int] = None) -> None:
         if processes is not None and processes < 1:
             raise ExperimentError(
                 f"processes must be >= 1, got {processes}"
@@ -270,10 +186,6 @@ class WorkerPool:
         self.processes = (
             int(processes) if processes is not None else default_worker_count()
         )
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._blas_threads = blas_threads
-        self._seed = None if seed is None else int(seed)
         # Mutable state shared with the weakref finalizer so teardown
         # never needs (and never resurrects) self.
         self._state: dict = {"pool": None, "segments": {}}
@@ -300,34 +212,20 @@ class WorkerPool:
             return self
         saved = {var: os.environ.get(var) for var in _BLAS_ENV_VARS}
         try:
-            if self._blas_threads is not None:
-                for var in _BLAS_ENV_VARS:
-                    os.environ[var] = str(self._blas_threads)
+            for var in _BLAS_ENV_VARS:
+                os.environ[var] = "1"
             # 'spawn' keeps workers free of inherited state (fork-safety
             # with BLAS threads); children re-import, reading the capped
             # thread environment above.
-            ctx = get_context("spawn")
-            initializer, initargs = self._initializer, self._initargs
-            if self._seed is not None:
-                # Slot claims go through a shared counter so worker i's
-                # stream depends only on (seed, i), never on spawn order.
-                counter = ctx.Value("i", 0)
-                initializer = _seeded_initializer
-                initargs = (
-                    self._seed, counter, self._initializer, self._initargs,
-                )
-            self._state["pool"] = ctx.Pool(
-                processes=self.processes,
-                initializer=initializer,
-                initargs=initargs,
+            self._state["pool"] = get_context("spawn").Pool(
+                processes=self.processes
             )
         finally:
-            if self._blas_threads is not None:
-                for var, value in saved.items():
-                    if value is None:
-                        os.environ.pop(var, None)
-                    else:
-                        os.environ[var] = value
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
         return self
 
     def close(self) -> None:

@@ -284,11 +284,7 @@ class GradientReducer:
     pool:
         An existing :class:`~repro.parallel.pool.WorkerPool` to execute
         on; the reducer then *borrows* it (``close()`` leaves it
-        running).  Default builds a private seeded pool lazily.
-    seed:
-        Seed for the private pool's per-worker RNG streams
-        (:func:`repro.parallel.pool.worker_rng`), so stochastic
-        shard-side workloads stay reproducible.
+        running).  Default builds a private pool lazily.
 
     Examples
     --------
@@ -307,7 +303,6 @@ class GradientReducer:
         self,
         num_workers: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
-        seed: int = 0,
     ) -> None:
         if num_workers is not None and num_workers < 1:
             raise GradientError(
@@ -325,7 +320,6 @@ class GradientReducer:
                 if num_workers is not None
                 else default_worker_count()
             )
-            self._seed = int(seed)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -334,9 +328,7 @@ class GradientReducer:
     def pool(self) -> WorkerPool:
         """The backing pool (created lazily, started on first task)."""
         if self._pool is None:
-            self._pool = WorkerPool(
-                processes=self.num_workers, seed=self._seed
-            )
+            self._pool = WorkerPool(processes=self.num_workers)
         return self._pool
 
     def close(self) -> None:

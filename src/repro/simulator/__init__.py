@@ -10,34 +10,12 @@ simulation primitives the rest of the library is built on:
 - :mod:`~repro.simulator.gates` — two-mode beamsplitter/Givens gates
   ``U^(k,k+1)(theta, alpha)`` (Fig. 2 of the paper) with batched in-place
   application kernels;
-- :class:`~repro.simulator.circuit.Circuit` — ordered gate sequences with
-  unitary assembly and inversion;
-- :mod:`~repro.simulator.measurement` — Born-rule probabilities and
-  finite-shot sampling (hardware-realism extension);
-- :mod:`~repro.simulator.unitary` — Haar-random unitaries and unitarity
-  checks used by tests and the mesh decomposition.
+- :mod:`~repro.simulator.density` — density matrices and the noise
+  channels of the exact noisy execution path.
 """
 
 from repro.simulator.state import QuantumState, StateBatch
-from repro.simulator.gates import (
-    BeamsplitterGate,
-    PhaseGate,
-    apply_givens,
-    apply_givens_batch,
-)
-from repro.simulator.circuit import Circuit
-from repro.simulator.measurement import (
-    born_probabilities,
-    sample_counts,
-    estimate_probabilities,
-    measurement_expectation,
-)
-from repro.simulator.unitary import (
-    haar_random_unitary,
-    random_orthogonal,
-    is_unitary,
-    closest_unitary,
-)
+from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
 from repro.simulator.density import (
     DensityMatrix,
     dephasing_channel,
@@ -49,18 +27,7 @@ __all__ = [
     "QuantumState",
     "StateBatch",
     "BeamsplitterGate",
-    "PhaseGate",
-    "apply_givens",
     "apply_givens_batch",
-    "Circuit",
-    "born_probabilities",
-    "sample_counts",
-    "estimate_probabilities",
-    "measurement_expectation",
-    "haar_random_unitary",
-    "random_orthogonal",
-    "is_unitary",
-    "closest_unitary",
     "DensityMatrix",
     "dephasing_channel",
     "depolarizing_channel",

@@ -16,42 +16,21 @@ to ``theta`` is the rotation advanced by ``pi/2``; this underlies both the
 parameter-shift rule and the analytic adjoint gradients in
 :mod:`repro.training.gradients`.
 
-Free functions :func:`apply_givens` / :func:`apply_givens_batch` implement
-the batched in-place kernels used by the network's hot loop: each gate
-touches exactly two contiguous rows of the ``(N, M)`` state matrix.
+The free function :func:`apply_givens_batch` is the batched in-place
+kernel used by the network's hot loop: each gate touches exactly two
+contiguous rows of the ``(N, M)`` state matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import GateError
 
-__all__ = [
-    "BeamsplitterGate",
-    "PhaseGate",
-    "apply_givens",
-    "apply_givens_batch",
-]
-
-TWO_PI = 2.0 * math.pi
-
-
-def apply_givens(
-    state: np.ndarray, k: int, theta: float, inverse: bool = False
-) -> np.ndarray:
-    """Apply a real Givens rotation to entries ``(k, k+1)`` of a vector.
-
-    Out-of-place convenience wrapper used in tests and examples; the batched
-    in-place kernel is :func:`apply_givens_batch`.
-    """
-    out = np.array(state, copy=True)
-    apply_givens_batch(out.reshape(-1, 1), k, theta, inverse=inverse)
-    return out.reshape(state.shape)
+__all__ = ["BeamsplitterGate", "apply_givens_batch"]
 
 
 def apply_givens_batch(
@@ -225,40 +204,3 @@ class BeamsplitterGate:
     def with_theta(self, theta: float) -> "BeamsplitterGate":
         return BeamsplitterGate(self.mode, theta, self.alpha)
 
-
-@dataclass(frozen=True)
-class PhaseGate:
-    """Single-mode phase shifter ``|k> -> e^{i phi}|k>``.
-
-    Not used by the paper's real network but required by the Clements
-    decomposition of a general (complex) unitary in :mod:`repro.optics.mesh`
-    and by the complex-network extension.
-    """
-
-    mode: int
-    phi: float
-
-    def __post_init__(self) -> None:
-        if self.mode < 0:
-            raise GateError(f"mode must be non-negative, got {self.mode}")
-        if not math.isfinite(self.phi):
-            raise GateError("phi must be finite")
-
-    @property
-    def is_real(self) -> bool:
-        return False
-
-    def embed(self, dim: int) -> np.ndarray:
-        if self.mode >= dim:
-            raise GateError(
-                f"phase gate on mode {self.mode} does not fit in dim {dim}"
-            )
-        u = np.eye(dim, dtype=np.complex128)
-        u[self.mode, self.mode] = complex(math.cos(self.phi), math.sin(self.phi))
-        return u
-
-    def apply(self, data: np.ndarray, inverse: bool = False) -> None:
-        if not np.issubdtype(data.dtype, np.complexfloating):
-            raise GateError("PhaseGate requires a complex state batch")
-        phi = -self.phi if inverse else self.phi
-        data[self.mode] *= complex(math.cos(phi), math.sin(phi))

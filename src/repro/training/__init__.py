@@ -61,12 +61,6 @@ from repro.training.trainer import (
     TrainingHistory,
     TrainingResult,
 )
-from repro.training.hardware import (
-    SPSA,
-    ShotBasedObjective,
-    HardwareTrainingResult,
-    train_hardware_style,
-)
 
 __all__ = [
     "Loss",
@@ -102,8 +96,4 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "TrainingResult",
-    "SPSA",
-    "ShotBasedObjective",
-    "HardwareTrainingResult",
-    "train_hardware_style",
 ]

@@ -379,7 +379,7 @@ class Trainer:
 
         workers = resolve_parallel_workers(self.parallel)
         reducer = (
-            GradientReducer(num_workers=workers, seed=self.batch_seed)
+            GradientReducer(num_workers=workers)
             if workers is not None and workers > 1
             else None
         )

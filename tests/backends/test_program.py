@@ -41,11 +41,11 @@ class TestCompileProgram:
             prog.alpha_index, prog.theta_index + net.num_thetas
         )
 
-    def test_matches_as_circuit_order(self):
+    def test_matches_layer_mode_sequences(self):
         net = QuantumNetwork(5, 2, descending=True)
         prog = compile_program(net)
-        circuit_modes = [g.mode for g in net.as_circuit().gates]
-        assert prog.modes.tolist() == circuit_modes
+        layer_modes = [int(k) for layer in net.layers for k in layer.mode_sequence()]
+        assert prog.modes.tolist() == layer_modes
 
     def test_gate_for_parameter_roundtrip(self):
         net = QuantumNetwork(6, 3, descending=True, allow_phase=True)

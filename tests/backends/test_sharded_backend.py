@@ -234,15 +234,3 @@ class TestHigherLayerWiring:
             fused_result.history.loss_r
         )
         assert sharded_ae.uc.backend._slot.pool is None  # never spawned
-
-    def test_run_sweep_backend_injection_accepts_sharded(self):
-        from repro.parallel import run_sweep
-
-        results = run_sweep(
-            _echo_backend, [{"x": 1}], processes=0, backend="sharded:2"
-        )
-        assert results[0].result == "sharded:2"
-
-
-def _echo_backend(config, seed):
-    return config["backend"]

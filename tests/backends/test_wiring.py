@@ -8,7 +8,6 @@ from repro.experiments.cli import build_parser
 from repro.experiments.config import PaperConfig
 from repro.network import QuantumAutoencoder, QuantumNetwork
 from repro.parallel.batch import chunked_forward
-from repro.parallel.sweep import run_sweep, sweep_grid
 from repro.training.optimizers import Adam, GradientDescent, MomentumGD
 from repro.training.trainer import Trainer
 
@@ -279,39 +278,6 @@ class TestGradEngineWiring:
         assert np.allclose(
             looped.history.loss_r, batched.history.loss_r, atol=1e-7
         )
-
-
-def _echo_backend(config, seed):
-    return config.get("backend")
-
-
-class TestSweepWiring:
-    def test_backend_injected_into_configs(self):
-        results = run_sweep(
-            _echo_backend,
-            sweep_grid(layers=[1, 2]),
-            processes=0,
-            backend="fused",
-        )
-        assert [r.result for r in results] == ["fused", "fused"]
-        assert all(r.config["backend"] == "fused" for r in results)
-
-    def test_explicit_config_backend_wins(self):
-        results = run_sweep(
-            _echo_backend,
-            [{"layers": 1, "backend": "loop"}],
-            processes=0,
-            backend="fused",
-        )
-        assert results[0].result == "loop"
-
-    def test_no_backend_leaves_configs_untouched(self):
-        results = run_sweep(_echo_backend, [{"layers": 1}], processes=0)
-        assert results[0].result is None
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ExperimentError, match="unknown backend"):
-            run_sweep(_echo_backend, [{}], processes=0, backend="cuda")
 
 
 class TestParallelBatchWiring:

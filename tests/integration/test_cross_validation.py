@@ -5,9 +5,7 @@ physics; these tests pit them against each other:
 
 - gate-kernel forward vs explicit matrix products;
 - statevector pipeline vs density-matrix pipeline;
-- interferometer propagation vs network forward vs circuit expansion;
-- measurement sampling vs exact Born statistics (chi-square-ish bound);
-- Reck/unitary synthesis vs the original network.
+- finite-shot sampling vs exact Born statistics (binomial bound).
 
 Agreement across code paths written at different times with different
 algorithms is the strongest internal-correctness evidence available
@@ -19,10 +17,9 @@ import pytest
 
 from repro.data.binary_images import paper_dataset
 from repro.network import QuantumAutoencoder, QuantumNetwork
-from repro.optics.interferometer import Interferometer
-from repro.optics.mesh import circuit_from_orthogonal, circuit_from_unitary
+from repro.noise.trajectory import measure_probabilities
 from repro.simulator.density import DensityMatrix
-from repro.simulator.measurement import sample_counts
+from repro.simulator.gates import BeamsplitterGate
 from repro.simulator.state import QuantumState
 
 
@@ -42,11 +39,15 @@ class TestKernelVsMatrix:
             u = layer.unitary() @ u
         assert np.allclose(u, net.unitary(), atol=1e-12)
 
-    def test_circuit_expansion_equals_network(self, net, rng):
+    def test_gate_matrix_product_equals_network(self, net, rng):
+        """The network forward is the product of its embedded 2x2 gates,
+        applied in each layer's mode order."""
+        u = np.eye(8)
+        for layer in net.layers:
+            for k in layer.mode_sequence():
+                u = BeamsplitterGate(int(k), float(layer.thetas[k])).embed(8) @ u
         x = rng.normal(size=8)
-        assert np.allclose(
-            net.as_circuit().apply(x), net.forward(x), atol=1e-12
-        )
+        assert np.allclose(net.forward(x), u @ x, atol=1e-12)
 
 
 class TestStatevectorVsDensityMatrix:
@@ -82,31 +83,6 @@ class TestStatevectorVsDensityMatrix:
         assert purity == pytest.approx(norm2**2, abs=1e-12)
 
 
-class TestDeviceVsNetworkVsSynthesis:
-    def test_three_way_agreement(self, net, rng):
-        x = rng.normal(size=(8, 3))
-        by_network = net.forward(x)
-        by_device = Interferometer.from_network(net).apply(x)
-        by_synthesis = np.stack(
-            [
-                circuit_from_orthogonal(net.unitary()).apply(x[:, i])
-                for i in range(3)
-            ],
-            axis=1,
-        )
-        assert np.allclose(by_device, by_network, atol=1e-12)
-        assert np.allclose(by_synthesis, by_network, atol=1e-8)
-
-    def test_unitary_synthesis_agrees_with_complex_network(self, rng):
-        net = QuantumNetwork(4, 2, allow_phase=True)
-        net.set_flat_params(rng.uniform(0.1, 2.0, net.num_parameters))
-        u = net.unitary()
-        c = circuit_from_unitary(u)
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x /= np.linalg.norm(x)
-        assert np.allclose(c.apply(x), u @ x, atol=1e-9)
-
-
 class TestSamplingVsExact:
     def test_empirical_frequencies_within_binomial_bounds(self, rng):
         """Each mode's count is Binomial(shots, p): check all modes sit
@@ -114,7 +90,7 @@ class TestSamplingVsExact:
         s = QuantumState(rng.normal(size=8))
         p = s.probabilities()
         shots = 100_000
-        counts = sample_counts(s, shots, rng=rng)
+        counts = measure_probabilities(p[:, None], shots, rng)[:, 0] * shots
         sigma = np.sqrt(shots * p * (1 - p)) + 1e-9
         z = np.abs(counts - shots * p) / sigma
         assert np.all(z < 5.0)

@@ -6,31 +6,18 @@ unconditionally.
 """
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError, ExperimentError
-from repro.parallel.pool import (
-    WorkerPool,
-    default_worker_count,
-    worker_index,
-    worker_rng,
-)
+from repro.parallel.pool import _BLAS_ENV_VARS, WorkerPool, default_worker_count
 
 
-def _rng_probe(_):
-    """Worker-side probe: (stream index, first draws of the seeded RNG)."""
-    return worker_index(), worker_rng().random(3).tolist()
-
-
-def _probe_unseeded(_):
-    """In an unseeded pool the worker RNG must stay unset (raises on use)."""
-    try:
-        worker_rng()
-    except ExperimentError:
-        return worker_index() is None
-    return False
+def _blas_env_probe(_):
+    """Worker-side probe: the BLAS thread caps this worker was spawned with."""
+    return [os.environ.get(var) for var in _BLAS_ENV_VARS]
 
 
 class TestDefaults:
@@ -70,11 +57,6 @@ class TestDefaults:
         assert pool.map(len, []) == []
         assert pool.map(len, iter(())) == []
         assert not pool.running
-
-    def test_parent_process_has_no_worker_rng(self):
-        assert worker_index() is None
-        with pytest.raises(ExperimentError):
-            worker_rng()
 
     def test_apply_dense_validates_shapes_before_spawn(self):
         pool = WorkerPool(processes=2)
@@ -179,27 +161,16 @@ class TestPoolLifecycle:
         assert not pool.running
         assert mp.active_children() == []
 
-    def test_seeded_worker_rng_streams(self):
-        """Each worker gets the SeedSequence(seed, spawn_key=(i,)) stream:
-        stream ``i`` depends only on ``(seed, i)``, not on spawn order or
-        task assignment.  The stream persists across tasks, so worker
-        ``i``'s successive probes are successive chunks of it."""
-        with WorkerPool(processes=2, seed=123) as pool:
-            probes = pool.map(_rng_probe, list(range(8)))
-        per_worker: dict = {}
-        for index, draws in probes:
-            per_worker.setdefault(index, []).extend(draws)
-        assert set(per_worker) <= {0, 1}
-        for index, draws in per_worker.items():
-            stream = np.random.default_rng(
-                np.random.SeedSequence(123, spawn_key=(index,))
-            )
-            assert draws == stream.random(len(draws)).tolist()
-
-    def test_unseeded_pool_leaves_worker_rng_unset(self):
+    def test_workers_pinned_to_one_blas_thread(self, monkeypatch):
+        """Workers spawn with every BLAS cap at 1; the parent's own
+        environment is restored once they are up."""
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         with WorkerPool(processes=2) as pool:
-            probes = pool.map(_probe_unseeded, list(range(4)))
-        assert all(probes)
+            probes = pool.map(_blas_env_probe, list(range(4)))
+            assert os.environ["OMP_NUM_THREADS"] == "4"
+            assert "MKL_NUM_THREADS" not in os.environ
+        assert all(caps == ["1"] * len(_BLAS_ENV_VARS) for caps in probes)
 
     def test_finalizer_shuts_down_on_gc(self):
         pool = WorkerPool(processes=2)

@@ -151,7 +151,7 @@ class TestReducerAgreement:
 
     @pytest.fixture(scope="class")
     def reducer(self):
-        with GradientReducer(num_workers=2, seed=0) as reducer:
+        with GradientReducer(num_workers=2) as reducer:
             yield reducer
 
     @pytest.mark.parametrize("method", ["adjoint", "derivative"])

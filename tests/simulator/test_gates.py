@@ -6,14 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import GateError
-from repro.simulator.gates import (
-    BeamsplitterGate,
-    PhaseGate,
-    apply_givens,
-    apply_givens_batch,
-)
+from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+def apply_givens(v, k, theta, inverse=False):
+    """Out-of-place rotation of one vector: the batch kernel on a column."""
+    out = np.array(v, dtype=np.float64).reshape(-1, 1)
+    apply_givens_batch(out, k, theta, inverse=inverse)
+    return out.ravel()
 
 
 class TestApplyGivens:
@@ -141,29 +143,3 @@ class TestBeamsplitterGate:
     def test_is_real_flag(self):
         assert BeamsplitterGate(0, 0.5).is_real
         assert not BeamsplitterGate(0, 0.5, alpha=0.1).is_real
-
-
-class TestPhaseGate:
-    def test_embed_unitary(self):
-        u = PhaseGate(1, 0.7).embed(3)
-        assert np.allclose(np.conj(u.T) @ u, np.eye(3))
-        assert u[1, 1] == pytest.approx(np.exp(1j * 0.7))
-
-    def test_apply_requires_complex(self):
-        with pytest.raises(GateError, match="complex"):
-            PhaseGate(0, 0.5).apply(np.eye(2))
-
-    def test_apply_inverse_roundtrip(self):
-        data = np.eye(3, dtype=np.complex128)
-        g = PhaseGate(2, 1.3)
-        g.apply(data)
-        g.apply(data, inverse=True)
-        assert np.allclose(data, np.eye(3))
-
-    def test_embed_out_of_range(self):
-        with pytest.raises(GateError):
-            PhaseGate(3, 0.1).embed(3)
-
-    def test_negative_mode_raises(self):
-        with pytest.raises(GateError):
-            PhaseGate(-2, 0.0)

@@ -10,7 +10,6 @@ import repro
 SUBPACKAGES = [
     "repro.api",
     "repro.simulator",
-    "repro.optics",
     "repro.encoding",
     "repro.network",
     "repro.training",
@@ -22,7 +21,6 @@ SUBPACKAGES = [
     "repro.imaging",
     "repro.io",
     "repro.utils",
-    "repro.analysis",
 ]
 
 
