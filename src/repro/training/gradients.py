@@ -73,7 +73,9 @@ engine matrix.
 
 from __future__ import annotations
 
+import logging
 import math
+import threading
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -109,6 +111,21 @@ _ENGINES = ("batched", "looped")
 
 #: Engine used when ``engine=None``: the layer-batched einsum drive.
 DEFAULT_GRADIENT_ENGINE: GradientEngine = "batched"
+
+_log = logging.getLogger(__name__)
+
+
+class _TapeArena(threading.local):
+    """The calling thread's float64 buffer behind :func:`_sweep_block`'s
+    tapes, grown to the largest block seen and never shrunk."""
+
+    def __init__(self) -> None:
+        self.buf = np.empty(0)
+
+
+_ARENA = _TapeArena()
+
+_TAPE_NAMES = ("xs", "mus", "rows", "adjoints")
 
 
 def available_gradient_engines() -> list[str]:
@@ -561,7 +578,8 @@ def adjoint_sweep(
 
     No suffix columns and no per-gate products are formed.  ``K`` is
     processed in blocks whose tapes stay under a fixed element budget
-    (:func:`_sweep_block_size`).
+    (:func:`_sweep_block_size`) and are kept, per thread, between calls
+    (:func:`_arena_tapes`).
     """
     arr, tgt, loss = _checked_problem(
         network, inputs, targets, loss, projection
@@ -605,6 +623,11 @@ def _sweep_block_size(
     layers and recurrence columns (under ``2 L N^2``).  A complex element
     counts as two float64s, so a block stays under ``ELEMENT_BUDGET``
     float64s.
+
+    The first four of those tapes are kept between calls in the calling
+    thread's arena (:func:`_arena_tapes`), sized to the largest block the
+    thread has swept: at most ``ELEMENT_BUDGET`` float64s (~32 MB), and
+    ~1.2 MB for the paper's K = 8 noise step on U_C.
     """
     complex_ = np.issubdtype(dtype, np.complexfloating)
     tapes = (6 if complex_ else 4) * num_layers + 1
@@ -630,9 +653,13 @@ def _sweep_block(
     layers = mesh.layers
     num_layers = layers.shape[-3]
     n, m = inputs.shape
+    gate_shape = (k, num_layers, n - 1, m)
+    xs, mus, rows, adjoints = _arena_tapes(
+        dtype, (k, num_layers + 1, n, m), (k, num_layers, n, m),
+        gate_shape, gate_shape,
+    )
 
     # 1. Forward chain: xs[:, p] is the input of layer p.
-    xs = np.empty((k, num_layers + 1, n, m), dtype=dtype)
     xs[:, 0] = inputs
     for p in range(num_layers):
         np.matmul(layers[..., p, :, :], xs[:, p], out=xs[:, p + 1])
@@ -640,7 +667,6 @@ def _sweep_block(
     # 2. Loss and output adjoint per set, then the pull-back:
     #    mus[:, p] is the adjoint at the output of layer p.
     values = np.empty(k)
-    mus = np.empty((k, num_layers, n, m), dtype=dtype)
     for r in range(k):
         values[r], mus[r, -1] = _adjoint_loss_and_lambda(
             xs[r, -1], dtype, targets, loss, projection
@@ -653,7 +679,7 @@ def _sweep_block(
 
     # 3.-4. Gate tapes and the elementwise gradient read-off.
     r0, r1, l0, l1 = _gate_tapes(
-        mesh, network.descending, xs[:, :num_layers], mus
+        mesh, network.descending, xs[:, :num_layers], mus, rows, adjoints
     )
     if np.iscomplexobj(l0):
         l0, l1 = l0.conj(), l1.conj()
@@ -673,17 +699,61 @@ def _sweep_block(
     return values, grads
 
 
+def _arena_tapes(dtype: np.dtype, *shapes: Tuple[int, ...]) -> list:
+    """C-contiguous ``dtype`` tapes of ``shapes`` (one per name in
+    ``_TAPE_NAMES``), carved from the calling thread's arena.
+
+    The tapes are uninitialised and overwritten by the next call on the
+    same thread, so nothing a sweep returns may alias them.  The arena
+    grows (one DEBUG record on ``repro.training.gradients``) only when the
+    tapes outsize it; real and complex tapes share it, a complex element
+    taking two float64 slots.  Tapes over ``ELEMENT_BUDGET`` float64s —
+    a single parameter set too large for the budget — are allocated
+    afresh and not kept.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(sizes) * (dtype.itemsize // 8)
+    if total > ELEMENT_BUDGET:
+        buf = np.empty(total)
+    else:
+        if _ARENA.buf.size < total:
+            _ARENA.buf = None  # release the old buffer before allocating
+            _ARENA.buf = np.empty(total)
+            _log.debug(
+                "adjoint sweep tape arena grew to %d float64s (%s tapes: %s)",
+                total,
+                dtype.name,
+                ", ".join(
+                    f"{name} {size}" for name, size in zip(_TAPE_NAMES, sizes)
+                ),
+            )
+        buf = _ARENA.buf
+    flat = buf[:total].view(dtype)
+    tapes = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        tapes.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return tapes
+
+
 def _gate_tapes(
-    mesh, descending: bool, x: np.ndarray, mu: np.ndarray
+    mesh,
+    descending: bool,
+    x: np.ndarray,
+    mu: np.ndarray,
+    rows: np.ndarray,
+    adjoints: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-gate rows and adjoints of every layer, ``(k, L, N-1, M)`` each.
 
     ``x`` holds the layer inputs and ``mu`` the adjoints at the layer
-    outputs, ``(k, L, N, M)``.  Entry ``j`` belongs to the gate on modes
-    ``(j, j+1)``: ``r0, r1`` are the two rows it reads and ``l0, l1`` the
-    adjoint at its two output rows.  Inside a chain each gate meets rows
-    the others have finished with (``G = [[pc, -s], [ps, c]]``, pulled
-    back by ``G^dagger``):
+    outputs, ``(k, L, N, M)``; the recurrences write into ``rows`` and
+    ``adjoints``, ``(k, L, N-1, M)``.  Entry ``j`` belongs to the gate on
+    modes ``(j, j+1)``: ``r0, r1`` are the two rows it reads and
+    ``l0, l1`` the adjoint at its two output rows.  Inside a chain each
+    gate meets rows the others have finished with
+    (``G = [[pc, -s], [ps, c]]``, pulled back by ``G^dagger``):
 
     - ascending: ``r0_0 = x_0``, ``r0_j = ps_{j-1} r0_{j-1} + c_{j-1}
       x_j``, ``r1_j = x_{j+1}``; ``l0_j = mu_j``, and ``l1_j = w_{j+1}^H
@@ -702,24 +772,24 @@ def _gate_tapes(
     cols = np.swapaxes(
         mesh.cols.conj() if np.iscomplexobj(mesh.cols) else mesh.cols, -1, -2
     )
-    k, num_layers, n, m = x.shape
-    g = n - 1
+    g = x.shape[2] - 1
     if not descending:
-        r0 = np.empty((k, num_layers, g, m), dtype=x.dtype)
+        r0 = rows
         r0[:, :, 0] = x[:, :, 0]
         for j in range(1, g):
             r0[:, :, j] = (
                 ps[..., j - 1, None] * r0[:, :, j - 1]
                 + c[..., j - 1, None] * x[:, :, j]
             )
-        return r0, x[:, :, 1:], mu[:, :, :g], cols[..., 1:, :] @ mu
-    r1 = np.empty((k, num_layers, g, m), dtype=x.dtype)
+        l1 = np.matmul(cols[..., 1:, :], mu, out=adjoints)
+        return r0, x[:, :, 1:], mu[:, :, :g], l1
+    r1 = rows
     r1[:, :, g - 1] = x[:, :, g]
     for j in range(g - 1, 0, -1):
         r1[:, :, j - 1] = (
             pc[..., j, None] * x[:, :, j] - s[..., j, None] * r1[:, :, j]
         )
-    return x[:, :, :g], r1, cols @ mu, mu[:, :, 1:]
+    return x[:, :, :g], r1, np.matmul(cols, mu, out=adjoints), mu[:, :, 1:]
 
 
 def _loss_and_grad_adjoint(
