@@ -202,8 +202,8 @@ class InferenceSession:
         self._noise = NoiseModel.from_spec(noise)
         self._noise_trajectories = int(noise_trajectories)
         self._noise_seed = int(noise_seed)
-        self._noisy_encode_ops = []
-        self._noisy_decode_mats = []
+        self._noisy_encode_ops = None
+        self._noisy_decode_mats = None
         self._shots_rng = None
         if self._noise is None:
             return
@@ -248,12 +248,11 @@ class InferenceSession:
             self._noise,
             [realization_rng(seed, 0, r, STREAM_UR) for r in range(count)],
         )
-        for uc_r, ur_r in zip(uc_mats, ur_mats):
-            enc = np.ascontiguousarray(uc_r[self._keep, :])
-            enc.flags.writeable = False
-            ur_r.flags.writeable = False
-            self._noisy_encode_ops.append(enc)
-            self._noisy_decode_mats.append(ur_r)
+        # Stacked per realization: (K, d, N) encode rows, (K, N, N) decoders.
+        self._noisy_encode_ops = np.ascontiguousarray(uc_mats[:, self._keep, :])
+        self._noisy_decode_mats = ur_mats
+        self._noisy_encode_ops.flags.writeable = False
+        self._noisy_decode_mats.flags.writeable = False
         self._shots_rng = realization_rng(
             self._noise_seed, 0, 0, STREAM_MEASURE
         )
@@ -316,30 +315,33 @@ class InferenceSession:
         # Same guard (and cutoff) as the eager CompressionNetwork path.
         return renormalization_norms(codes, ServingError)
 
-    def _noisy_amplitudes(self, phi_batches) -> np.ndarray:
+    def _noisy_amplitudes(self, phi: np.ndarray) -> np.ndarray:
         """Average exact channel probabilities over the frozen realizations.
 
-        ``phi_batches`` yields one full-space ``(N, M)`` compressed state
-        per realization (paired in order with ``_noisy_decode_mats``);
-        returns the ``sqrt(p)`` magnitude amplitudes after the optional
-        finite-shot measurement of the averaged distribution.
+        ``phi`` is the full-space compressed state: ``(K, N, M)``, one
+        batch per realization (paired in order with
+        ``_noisy_decode_mats``), or one ``(N, M)`` batch shared by all.
+        All realizations go through one stacked channel call, summed in
+        realization order; returns the ``sqrt(p)`` magnitude amplitudes
+        after the optional finite-shot measurement of the averaged
+        distribution.
         """
         from repro.noise.trajectory import (
             channel_probabilities,
             measure_probabilities,
         )
 
-        probs = None
-        for ur, phi in zip(self._noisy_decode_mats, phi_batches):
-            p, _ = channel_probabilities(ur, phi, self._noise)
-            probs = p if probs is None else probs + p
+        probs, _ = channel_probabilities(self._noisy_decode_mats, phi, self._noise)
+        probs = probs.sum(axis=0)
         probs /= len(self._noisy_decode_mats)
         probs = measure_probabilities(probs, self._noise.shots, self._shots_rng)
         return np.sqrt(np.clip(probs, 0.0, None))
 
     def _embed_codes(self, codes: np.ndarray) -> np.ndarray:
-        phi = np.zeros((self._dim, codes.shape[1]), dtype=np.float64)
-        phi[self._keep, :] = codes
+        phi = np.zeros(
+            codes.shape[:-2] + (self._dim, codes.shape[-1]), dtype=np.float64
+        )
+        phi[..., self._keep, :] = codes
         return phi
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
@@ -356,7 +358,7 @@ class InferenceSession:
         amps = _encode(mat, norms)
         if self._noise is not None:
             b = self._noisy_amplitudes(
-                self._embed_codes(enc @ amps) for enc in self._noisy_encode_ops
+                self._embed_codes(self._noisy_encode_ops @ amps)
             )
         elif self._renormalize:
             codes = self._apply(self._encode_op, amps)
@@ -404,7 +406,7 @@ class InferenceSession:
             # Receiver-side noise only: the codes on the wire are
             # classical, the reconstruction mesh is the noisy hardware.
             phi = self._embed_codes(np.asarray(codes, dtype=np.float64))
-            b = self._noisy_amplitudes(phi for _ in self._noisy_decode_mats)
+            b = self._noisy_amplitudes(phi)
         else:
             b = self._apply(self._decode_op, codes)
         return _decode(b, np.sqrt(sq))

@@ -163,17 +163,23 @@ def mesh_layers(mesh, params: np.ndarray) -> MeshLayers:
     return MeshLayers(params, thetas, alphas, c, s, pc, ps, layers, cols)
 
 
-def noisy_folds(mesh, thetas: np.ndarray, keep_amp: float) -> np.ndarray:
+def noisy_folds(mesh, thetas: np.ndarray, keep_amp) -> np.ndarray:
     """``(K, N, N)`` folds of a real mesh, one per row of ``thetas``.
 
     ``thetas`` is ``(K, num_thetas)`` in flat-parameter layout (the
     realizations' jittered angles); every gate's ``2 x 2`` block is scaled
-    by ``keep_amp = sqrt(1 - loss_per_gate)``, the amplitude it transmits.
-    Row ``r`` of the result depends on row ``r`` of ``thetas`` only.
+    by ``keep_amp = sqrt(1 - loss_per_gate)``, the amplitude it transmits:
+    one float for every row, or a ``(K,)`` array with one per row (a row
+    of exactly 1.0 is the lossless fold).  Row ``r`` of the result
+    depends on row ``r`` of ``thetas`` and of ``keep_amp`` only.
     """
     th = thetas.reshape(thetas.shape[0], mesh.num_layers, mesh.dim - 1)
     c, s = np.cos(th), np.sin(th)
-    if keep_amp != 1.0:
-        c, s = keep_amp * c, keep_amp * s
-    layers, _ = chain_layers(c, s, c, s, mesh.descending)
+    amp = np.asarray(keep_amp, dtype=np.float64)
+    if np.any(amp != 1.0):
+        amp = amp.reshape(amp.shape + (1, 1))
+        c, s = amp * c, amp * s
+    # The recurrence columns are not needed past the layers: dropping
+    # them before the product lowers the fold's peak memory.
+    layers = chain_layers(c, s, c, s, mesh.descending)[0]
     return fold(layers)

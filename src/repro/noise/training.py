@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.exceptions import NoiseError
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import realization_rng
+from repro.noise.trajectory import jitter_block
 
 __all__ = ["draw_jitter", "noisy_loss_and_gradient"]
 
@@ -64,10 +64,12 @@ def draw_jitter(
 
     Only the ``theta`` half is perturbed (the paper's meshes are
     phase-free; phases, when present, are not miscalibration targets).
+    The one-row case of :func:`~repro.noise.trajectory.jitter_block`.
     """
     eps = np.zeros(int(num_parameters), dtype=np.float64)
-    rng = realization_rng(seed, epoch, realization, stream)
-    eps[:num_thetas] = rng.normal(0.0, sigma, size=int(num_thetas))
+    eps[:num_thetas] = jitter_block(
+        num_thetas, sigma, seed, epoch, realization, realization + 1, stream
+    )[0]
     return eps
 
 
@@ -103,15 +105,11 @@ def _realization_pairs(
         validate_gradient_engine,
     )
 
-    sets = params + np.stack(
-        [
-            draw_jitter(
-                params.shape[0], network.num_thetas, sigma, seed, epoch, r,
-                stream,
-            )
-            for r in range(lo, hi)
-        ]
+    eps = np.zeros((hi - lo, params.shape[0]), dtype=np.float64)
+    eps[:, : network.num_thetas] = jitter_block(
+        network.num_thetas, sigma, seed, epoch, lo, hi, stream
     )
+    sets = params + eps
     if (
         str(method).lower() == "adjoint"
         and validate_gradient_engine(engine) == "batched"

@@ -8,8 +8,11 @@ frozen miscalibration) and folded — together with the deterministic
 per-gate insertion-loss damping — into a single sub-unitary ``N x N``
 matrix by the same closed-form chain fold
 (:mod:`repro.backends.fold`) that :class:`~repro.backends.fused.FusedBackend`
-uses for the ideal program, all realizations of a mesh in one batched
-call.  Every sample then moves through a realization in one GEMM.
+uses for the ideal program.  Each block of up to :data:`_FOLD_BLOCK`
+realizations is one stacked pass: one fold call per mesh whose row 0 is
+the clean mesh (the fidelity reference) and whose other rows are the
+realizations, then one :func:`channel_probabilities` call over the whole
+``(B, N, M)`` stack.  Every sample moves through a realization in one GEMM.
 
 The wire channels (dephasing / depolarizing) act between ``U_C`` and
 ``U_R``; because the pipeline only ever measures in the computational
@@ -26,8 +29,10 @@ to the density path with pure Monte-Carlo error — the agreement gate in
 ``benchmarks/bench_noise.py`` checks exactly this.
 
 Reproducibility contract: realization ``r`` of epoch ``e`` under seed
-``s`` is drawn from ``SeedSequence(s, spawn_key=(TAG, stream, e, r))`` —
-keyed on the *realization*, never on which worker computes it — so
+``s`` is drawn from ``SeedSequence(s, spawn_key=(TAG, stream, e, r))``
+(built from its entropy words, see :func:`realization_rng`) — keyed on
+the *realization*, never on which worker computes it — and every stacked
+step is slice-exact, so
 sharding the realization range across a :class:`~repro.parallel.pool.WorkerPool`
 of any size reproduces the single-process result bitwise (the results are
 recombined per-realization by the same deterministic
@@ -48,6 +53,7 @@ from repro.noise.model import NoiseModel
 __all__ = [
     "NoisyForwardResult",
     "realization_rng",
+    "jitter_block",
     "sample_mesh_matrix",
     "sample_mesh_matrices",
     "clean_mesh_matrix",
@@ -60,10 +66,26 @@ __all__ = [
 #: from the same seed (we always spawn on this tagged 4-tuple).
 _SPAWN_TAG = 0x4E4F4953  # "NOIS"
 
+#: ``SeedSequence``'s entropy pool size in uint32 words; a seed shorter
+#: than the pool is zero-padded before the spawn key is appended.
+_POOL_SIZE = 4
+
 #: Stream ids: one independent stream per mesh plus one for measurement.
 STREAM_UC = 0
 STREAM_UR = 1
 STREAM_MEASURE = 2
+
+
+def _append_words(value: int, words: List[int]) -> None:
+    """Append ``value``'s little-endian uint32 words, as ``SeedSequence``
+    splits an integer (``0`` is one zero word)."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words.append(value & 0xFFFFFFFF)
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
 
 
 def realization_rng(
@@ -75,6 +97,14 @@ def realization_rng(
     worker that happens to compute it — which is what makes pool-sharded
     noise bitwise-reproducible at any pool size.
 
+    The generator is the one of
+    ``SeedSequence(seed, spawn_key=(TAG, stream, epoch, realization))``,
+    built from the entropy words that sequence assembles: ``seed``'s
+    uint32 words zero-padded to the pool size of 4, then the words of the
+    spawn key.  Both mix to the same state (pinned by
+    ``tests/noise/test_fast_paths.py``); the words skip the per-key
+    coercion, which took most of the construction time.
+
     >>> a = realization_rng(7, 0, 3).normal()
     >>> b = realization_rng(7, 0, 3).normal()
     >>> a == b
@@ -82,10 +112,44 @@ def realization_rng(
     >>> realization_rng(7, 0, 4).normal() == a
     False
     """
-    ss = np.random.SeedSequence(
-        int(seed), spawn_key=(_SPAWN_TAG, int(stream), int(epoch), int(realization))
+    words: List[int] = []
+    _append_words(int(seed), words)
+    words.extend([0] * (_POOL_SIZE - len(words)))
+    for key in (_SPAWN_TAG, int(stream), int(epoch), int(realization)):
+        _append_words(key, words)
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))
+
+
+def _jitter_rows(
+    rngs: Sequence[Optional[np.random.Generator]], num_thetas: int, sigma: float
+) -> np.ndarray:
+    """One ``N(0, sigma^2)`` draw of ``num_thetas`` angles per generator."""
+    if any(rng is None for rng in rngs):
+        raise NoiseError("theta_sigma > 0 requires an rng to draw jitter")
+    return np.stack([rng.normal(0.0, sigma, size=num_thetas) for rng in rngs])
+
+
+def jitter_block(
+    num_thetas: int,
+    sigma: float,
+    seed: int,
+    epoch: int,
+    lo: int,
+    hi: int,
+    stream: int = 0,
+) -> np.ndarray:
+    """Angle jitter of realizations ``[lo, hi)`` of one stream, shape
+    ``(hi - lo, num_thetas)``.
+
+    Row ``r - lo`` is drawn from ``realization_rng(seed, epoch, r,
+    stream)`` alone, so any split of the range draws the same rows.
+    """
+    return _jitter_rows(
+        [realization_rng(seed, epoch, r, stream) for r in range(lo, hi)],
+        int(num_thetas),
+        sigma,
     )
-    return np.random.default_rng(ss)
 
 
 #: Realizations folded per batched call in :func:`trajectory_forward`,
@@ -127,13 +191,9 @@ def sample_mesh_matrices(
     num_thetas = mesh.num_layers * (mesh.dim - 1)
     thetas = np.broadcast_to(params[:num_thetas], (len(rngs), num_thetas))
     if model.theta_sigma > 0.0:
-        if any(rng is None for rng in rngs):
-            raise NoiseError("theta_sigma > 0 requires an rng to draw jitter")
         # One draw per *theta parameter*, in flat-parameter layout (what
         # noise-aware training perturbs).
-        thetas = thetas + np.stack(
-            [rng.normal(0.0, model.theta_sigma, size=num_thetas) for rng in rngs]
-        )
+        thetas = thetas + _jitter_rows(rngs, num_thetas, model.theta_sigma)
     return noisy_folds(mesh, thetas, float(np.sqrt(1.0 - model.loss_per_gate)))
 
 
@@ -166,40 +226,45 @@ def channel_probabilities(
     """Measured-probability map of the wire channels + reconstruction mesh.
 
     ``phi`` is the (possibly sub-normalized) compressed state batch
-    ``(N, M)`` *after* projection; ``decode_matrix`` is one (possibly
-    noisy, sub-unitary) realization of ``U_R``.  Returns the exact
-    computational-basis probabilities ``(N, M)`` of
+    ``(..., N, M)`` *after* projection; ``decode_matrix`` is one (possibly
+    noisy, sub-unitary) realization of ``U_R``, ``(..., N, N)``.  Returns
+    the exact computational-basis probabilities ``(..., N, M)`` of
     ``U_R ( Depol_pp ( Deph_pd ( |phi><phi| ) ) ) U_R^dagger`` — the
     closed form in the module docstring — plus, when ``reference`` (the
-    normalized clean output batch) is given, the per-sample fidelity
-    ``<b_c| rho_out |b_c>``.
+    normalized clean output batch ``(..., N, M)``) is given, the
+    per-sample fidelity ``<b_c| rho_out |b_c>``, ``(..., M)``.
+
+    Leading axes broadcast against each other, and every slice of a
+    stacked call equals the single call on that slice bitwise.
     """
     pd = model.dephasing
     pp = model.depolarizing
-    dim = decode_matrix.shape[0]
+    dim = decode_matrix.shape[-1]
     out = decode_matrix @ phi
     probs = np.abs(out) ** 2
     phi_sq = np.abs(phi) ** 2
-    trace = phi_sq.sum(axis=0)
+    trace = phi_sq.sum(axis=-2)
     dec_sq = np.abs(decode_matrix) ** 2
     if pd > 0.0:
         probs = (1.0 - pd) * probs + pd * (dec_sq @ phi_sq)
     if pp > 0.0:
-        rowpow = dec_sq.sum(axis=1)
-        probs = (1.0 - pp) * probs + (pp / dim) * np.outer(rowpow, trace)
+        rowpow = dec_sq.sum(axis=-1)
+        probs = (1.0 - pp) * probs + (pp / dim) * (
+            rowpow[..., :, None] * trace[..., None, :]
+        )
     if reference is None:
         return probs, None
     # T[m, j] = <b_c[:, m] | U_R e_j>; all three channel terms project
     # the output density matrix onto the clean reference state.
-    t = reference.conj().T @ decode_matrix
+    t = np.swapaxes(reference.conj(), -1, -2) @ decode_matrix
     t_sq = np.abs(t) ** 2
-    fid_unit = np.abs(np.einsum("nm,nm->m", reference.conj(), out)) ** 2
+    fid_unit = np.abs(np.einsum("...nm,...nm->...m", reference.conj(), out)) ** 2
     fid = fid_unit
     if pd > 0.0:
-        fid_deph = np.einsum("mj,jm->m", t_sq, phi_sq)
+        fid_deph = np.einsum("...mj,...jm->...m", t_sq, phi_sq)
         fid = (1.0 - pd) * fid + pd * fid_deph
     if pp > 0.0:
-        fid = (1.0 - pp) * fid + (pp / dim) * trace * t_sq.sum(axis=1)
+        fid = (1.0 - pp) * fid + (pp / dim) * trace * t_sq.sum(axis=-1)
     return probs, fid
 
 
@@ -215,20 +280,26 @@ def measure_probabilities(
     the estimate is unbiased for the unconditional ``p`` even under loss
     (a lost photon is simply a no-click shot).  ``shots=None`` returns
     the exact probabilities unchanged.
+
+    Columns are drawn in order, all in one ``multinomial`` call; a column
+    with no probability left after clipping negatives is skipped and
+    draws nothing.
     """
     if shots is None:
         return probabilities
     if rng is None:
         raise NoiseError("finite shots require an rng")
     mat = probabilities.reshape(probabilities.shape[0], -1)
+    # One contiguous row per column, so each total is summed like the
+    # column on its own.
+    p = np.ascontiguousarray(np.clip(mat, 0.0, None).T)
+    totals = p.sum(axis=1)
+    live = ~(totals <= 0.0)
     out = np.zeros_like(mat)
-    for m in range(mat.shape[1]):
-        p = np.clip(mat[:, m], 0.0, None)
-        total = float(p.sum())
-        if total <= 0.0:
-            continue
-        counts = rng.multinomial(int(shots), p / total)
-        out[:, m] = counts * (total / float(shots))
+    if live.any():
+        scale = totals[live, None]
+        counts = rng.multinomial(int(shots), p[live] / scale)
+        out[:, live] = (counts * (scale / float(shots))).T
     return out.reshape(probabilities.shape)
 
 
@@ -285,12 +356,38 @@ def _program_for_struct(struct: Tuple[int, int, bool, bool]):
 
 
 def _masked_compress(encode_matrix, amplitudes, keep: np.ndarray) -> np.ndarray:
-    """``P (U_C a)`` — project without renormalizing (unconditional state)."""
+    """``P (U_C a)`` — project without renormalizing (unconditional state).
+
+    ``encode_matrix`` may be a ``(..., N, N)`` stack; the mask zeroes the
+    same rows of every slice."""
     phi = encode_matrix @ amplitudes
-    mask = np.zeros(phi.shape[0], dtype=bool)
+    mask = np.zeros(phi.shape[-2], dtype=bool)
     mask[keep] = True
-    phi[~mask, :] = 0.0
+    phi[..., ~mask, :] = 0.0
     return phi
+
+
+def _clean_and_noisy_folds(
+    prog, params: np.ndarray, model: NoiseModel, seed: int, epoch: int,
+    lo: int, hi: int, stream: int,
+) -> np.ndarray:
+    """``(1 + hi - lo, N, N)``: the clean fold, then realizations
+    ``[lo, hi)`` of ``stream``, in one :func:`noisy_folds` call.
+
+    Row 0 keeps every amplitude (a factor of exactly 1.0), the others
+    are damped by ``sqrt(1 - loss_per_gate)``; folds are row-exact, so
+    each row equals its own single fold bitwise.
+    """
+    num_thetas = prog.num_layers * (prog.dim - 1)
+    thetas = np.empty((1 + hi - lo, num_thetas))
+    thetas[:] = params[:num_thetas]
+    if model.theta_sigma > 0.0:
+        thetas[1:] += jitter_block(
+            num_thetas, model.theta_sigma, seed, epoch, lo, hi, stream
+        )
+    keep_amp = np.full(1 + hi - lo, np.sqrt(1.0 - model.loss_per_gate))
+    keep_amp[0] = 1.0
+    return noisy_folds(prog, thetas, keep_amp)
 
 
 def _realization_stats(
@@ -300,7 +397,6 @@ def _realization_stats(
     ur_params: np.ndarray,
     keep: np.ndarray,
     amplitudes: np.ndarray,
-    reference: np.ndarray,
     model: NoiseModel,
     seed: int,
     epoch: int,
@@ -308,32 +404,33 @@ def _realization_stats(
     hi: int,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exact (probabilities, fidelity, transmission) of realizations
-    ``[lo, hi)``, each mesh's realizations folded in batched calls.
+    ``[lo, hi)``, in one stacked pass per block of :data:`_FOLD_BLOCK`.
 
-    Every realization is keyed on its own index (see
-    :func:`realization_rng`) and batched folds are slice-exact, so the
-    values do not depend on how the range is split.
+    Each block folds each mesh once, with the clean mesh as row 0; the
+    clean output, normalized per column (guarding collapse to zero), is
+    the fidelity reference, and one :func:`channel_probabilities` call
+    covers the block's realizations.  Every realization is keyed on its
+    own index (see :func:`realization_rng`) and every step is slice-exact,
+    so the values do not depend on how the range is split.
     """
     out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for start in range(lo, hi, _FOLD_BLOCK):
-        block = range(start, min(start + _FOLD_BLOCK, hi))
-        ucs = sample_mesh_matrices(
-            uc_prog,
-            uc_params,
-            model,
-            [realization_rng(seed, epoch, r, STREAM_UC) for r in block],
+        stop = min(start + _FOLD_BLOCK, hi)
+        ucs = _clean_and_noisy_folds(
+            uc_prog, uc_params, model, seed, epoch, start, stop, STREAM_UC
         )
-        urs = sample_mesh_matrices(
-            ur_prog,
-            ur_params,
-            model,
-            [realization_rng(seed, epoch, r, STREAM_UR) for r in block],
+        urs = _clean_and_noisy_folds(
+            ur_prog, ur_params, model, seed, epoch, start, stop, STREAM_UR
         )
-        for uc, ur in zip(ucs, urs):
-            phi = _masked_compress(uc, amplitudes, keep)
-            probs, fid = channel_probabilities(ur, phi, model, reference=reference)
-            assert fid is not None
-            out.append((probs, fid, probs.sum(axis=0)))
+        phi = _masked_compress(ucs, amplitudes, keep)
+        b_clean = urs[0] @ phi[0]
+        norms = np.linalg.norm(b_clean, axis=0)
+        reference = b_clean / np.where(norms > 0.0, norms, 1.0)
+        probs, fid = channel_probabilities(
+            urs[1:], phi[1:], model, reference=reference
+        )
+        assert fid is not None
+        out.extend((p, f, p.sum(axis=0)) for p, f in zip(probs, fid))
     return out
 
 
@@ -346,7 +443,6 @@ def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.nda
         ur_params,
         keep,
         amplitudes,
-        reference,
         model_dict,
         seed,
         epoch,
@@ -360,7 +456,6 @@ def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.nda
         ur_params,
         keep,
         amplitudes,
-        reference,
         NoiseModel.from_dict(model_dict),
         seed,
         epoch,
@@ -403,13 +498,6 @@ def trajectory_forward(
     uc_params = np.asarray(uc.get_flat_params(), dtype=np.float64)
     ur_params = np.asarray(ur.get_flat_params(), dtype=np.float64)
     keep = np.asarray(autoencoder.projection.keep, dtype=np.int64)
-    # Clean reference outputs, normalized per column (guarding collapse to
-    # zero), for the fidelity bookkeeping.
-    uc_clean = clean_mesh_matrix(uc_prog, uc_params)
-    ur_clean = clean_mesh_matrix(ur_prog, ur_params)
-    b_clean = ur_clean @ _masked_compress(uc_clean, amplitudes, keep)
-    norms = np.linalg.norm(b_clean, axis=0)
-    reference = b_clean / np.where(norms > 0.0, norms, 1.0)
 
     per_realization: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if pool is not None and pool.processes > 1 and K > 1:
@@ -424,7 +512,6 @@ def trajectory_forward(
                 ur_params,
                 keep,
                 amplitudes,
-                reference,
                 model.to_dict(),
                 int(seed),
                 int(epoch),
@@ -443,7 +530,6 @@ def trajectory_forward(
             ur_params,
             keep,
             amplitudes,
-            reference,
             model,
             int(seed),
             int(epoch),

@@ -1,6 +1,6 @@
 """Shared utilities: RNG seeding, timing, validation and ASCII rendering."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs, DEFAULT_SEED
+from repro.utils.rng import ensure_rng, DEFAULT_SEED
 from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     as_float_matrix,
@@ -17,7 +17,6 @@ from repro.utils.ascii_art import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "DEFAULT_SEED",
     "Stopwatch",
     "timed",

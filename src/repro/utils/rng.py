@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "ensure_rng", "spawn_rngs"]
+__all__ = ["DEFAULT_SEED", "ensure_rng"]
 
 #: Seed used throughout the experiment harness when the caller does not
 #: provide one.  2024 matches the paper's publication year and is recorded in
@@ -48,21 +48,3 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     raise TypeError(
         f"seed must be None, int or numpy Generator, got {type(seed).__name__}"
     )
-
-
-def spawn_rngs(seed: RngLike, n: int) -> list[np.random.Generator]:
-    """Create ``n`` statistically independent child generators.
-
-    Used by the multiprocessing sweep executor so each worker gets its own
-    stream; children are derived via :class:`numpy.random.SeedSequence`
-    spawning, which guarantees independence regardless of worker scheduling.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    if isinstance(seed, np.random.Generator):
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-    else:
-        seq = np.random.SeedSequence(
-            DEFAULT_SEED if seed is None else int(seed)
-        )
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

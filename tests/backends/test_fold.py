@@ -79,6 +79,22 @@ def test_lossy_jittered_fold_matches_per_gate_oracle(dim, descending):
             assert np.max(np.abs(mats[r] - ref)) <= TOL
 
 
+@pytest.mark.parametrize("descending", [False, True])
+def test_per_row_keep_amp_equals_scalar_calls(descending):
+    net = make_net(16, descending, layers=12)
+    prog = compile_program(net)
+    rng = np.random.default_rng(12)
+    thetas = net.get_flat_params() + rng.normal(0.0, 0.02, (5, net.num_thetas))
+    keep_amp = np.array([1.0, np.sqrt(0.99), 1.0, np.sqrt(0.9), np.sqrt(0.99)])
+    mats = noisy_folds(prog, thetas, keep_amp)
+    for r in range(thetas.shape[0]):
+        single = noisy_folds(prog, thetas[r : r + 1], float(keep_amp[r]))
+        assert np.array_equal(mats[r], single[0])
+    assert np.array_equal(
+        noisy_folds(prog, thetas, np.ones(5)), noisy_folds(prog, thetas, 1.0)
+    )
+
+
 def test_sampled_mesh_matches_per_gate_oracle():
     net = make_net(8, descending=True)
     prog = compile_program(net)

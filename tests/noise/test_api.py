@@ -141,6 +141,49 @@ class TestNoisySession:
             InferenceSession(_autoencoder(), noise="mild",
                              noise_trajectories=0)
 
+    @pytest.mark.parametrize("noise", ["mild", "lossy", "harsh"])
+    @pytest.mark.parametrize("K", [1, 5, 33])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_stacked_channel_equals_realization_loop(self, noise, K, m):
+        """One stacked channel call, summed over realizations, is bitwise
+        the per-realization loop with a running sum."""
+        from repro.noise.trajectory import (
+            channel_probabilities,
+            measure_probabilities,
+        )
+
+        ae = QuantumAutoencoder(8, 3, 4, 4).initialize(
+            "uniform", rng=np.random.default_rng(K)
+        )
+        fast, loop = (
+            InferenceSession(ae, noise=noise, noise_trajectories=K, noise_seed=3)
+            for _ in range(2)
+        )
+        amps = _data(m=m, n=8, seed=m).T
+        amps = amps / np.linalg.norm(amps, axis=0)
+
+        def loop_amplitudes(phis):
+            probs = None
+            for ur, phi in zip(loop._noisy_decode_mats, phis):
+                p, _ = channel_probabilities(ur, phi, loop.noise)
+                probs = p if probs is None else probs + p
+            probs /= len(loop._noisy_decode_mats)
+            probs = measure_probabilities(probs, loop.noise.shots, loop._shots_rng)
+            return np.sqrt(np.clip(probs, 0.0, None))
+
+        stacked = fast._embed_codes(fast._noisy_encode_ops @ amps)
+        per_realization = [
+            loop._embed_codes(enc @ amps) for enc in loop._noisy_encode_ops
+        ]
+        assert np.array_equal(
+            fast._noisy_amplitudes(stacked), loop_amplitudes(per_realization)
+        )
+        shared = per_realization[0]  # the receiver side: one state for all
+        assert np.array_equal(
+            fast._noisy_amplitudes(shared),
+            loop_amplitudes([shared] * len(loop._noisy_decode_mats)),
+        )
+
     def test_noisy_session_reproducible_per_seed(self):
         ae = _autoencoder()
         X = _data()

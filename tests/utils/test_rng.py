@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import DEFAULT_SEED, ensure_rng, spawn_rngs
+from repro.utils.rng import DEFAULT_SEED, ensure_rng
 
 
 class TestEnsureRng:
@@ -35,32 +35,3 @@ class TestEnsureRng:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             ensure_rng(1.5)
-
-
-class TestSpawnRngs:
-    def test_spawn_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_spawn_zero_is_empty(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError, match="negative"):
-            spawn_rngs(0, -1)
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(42, 3)
-        draws = [c.random(16) for c in children]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_spawn_deterministic_from_seed(self):
-        a = [g.random(4) for g in spawn_rngs(9, 2)]
-        b = [g.random(4) for g in spawn_rngs(9, 2)]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_spawn_from_generator(self):
-        gen = np.random.default_rng(1)
-        children = spawn_rngs(gen, 2)
-        assert len(children) == 2
