@@ -71,8 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["PrefixSuffixWorkspace"]
 
 #: Element budget of one batched contraction stack (~32 MB of float64):
-#: :meth:`PrefixSuffixWorkspace.param_chunks` merges layers under it, and
-#: the adjoint sweep sizes its blocks of parameter sets against it.
+#: :meth:`PrefixSuffixWorkspace.param_chunks` merges layers under it, the
+#: adjoint sweep sizes its blocks of parameter sets against it, and the
+#: trajectory noise path its blocks of realizations.
 ELEMENT_BUDGET = 4_000_000
 
 

