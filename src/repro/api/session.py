@@ -224,12 +224,8 @@ class InferenceSession:
             sample_mesh_matrices,
         )
 
-        uc_params = np.asarray(
-            autoencoder.uc.get_flat_params(), dtype=np.float64
-        )
-        ur_params = np.asarray(
-            autoencoder.ur.get_flat_params(), dtype=np.float64
-        )
+        uc_params = autoencoder.uc.get_flat_params()
+        ur_params = autoencoder.ur.get_flat_params()
         # With no angle jitter every realization is the same deterministic
         # sub-unitary fold — one pair suffices.
         count = (

@@ -3,9 +3,9 @@
 A backend turns a compiled :class:`~repro.backends.program.GateProgram`
 into execution.  Backends are *bound* to one network at a time (binding
 compiles the program once); the network delegates every forward pass to its
-backend and notifies it via :meth:`Backend.invalidate` when parameters
-change, so backends may cache parameter-derived artefacts (fused unitaries,
-prefix/suffix products) between calls.
+backend.  Backends may cache parameter-derived artefacts (fused unitaries,
+prefix/suffix products) between calls, checked against the network's live
+parameter array before each use.
 
 Three backends ship with the package:
 
@@ -100,7 +100,6 @@ class Backend(abc.ABC):
             )
         self._network = network
         self._program = compile_program(network)
-        self.invalidate()
         return self
 
     @property
@@ -159,12 +158,10 @@ class Backend(abc.ABC):
         True
         """
 
-    def invalidate(self) -> None:
-        """Drop parameter-derived caches (called on ``set_flat_params``)."""
-
-    def cached_mesh(self, params: np.ndarray) -> Optional["MeshLayers"]:
-        """The chain recurrence of the bound network at ``params`` if the
-        backend already holds it (the ``fused`` fold cache), else ``None``.
+    def cached_mesh(self) -> Optional["MeshLayers"]:
+        """The chain recurrence of the bound network at its current
+        parameters if the backend already holds it (the ``fused`` fold
+        cache), else ``None``.
 
         The adjoint sweep of :mod:`repro.training.gradients` reads it so a
         training step folds each parameter set once.

@@ -10,12 +10,13 @@ per-gate Python overhead.  The unitary itself comes from the closed-form
 chain fold of :mod:`repro.backends.fold`: every layer unitary from one
 ``O(N)`` vectorised recurrence, then one matmul per layer.
 
-The cache is validated against the network's *current* flat parameter
-vector (not just the :meth:`invalidate` notification), so even direct
-mutation of ``layer.thetas`` is picked up on the next pass.  The backend
-keeps the per-layer unitaries of that fold
-(:meth:`FusedBackend.layer_unitaries`) and, while the parameters still
-match, serves them (:meth:`FusedBackend.cached_mesh`) to the reverse-mode
+The cache is validated by comparing the network's live parameter array
+(every ``layer.thetas`` row lives in it) with the fold's snapshot, so
+``set_flat_params`` and direct mutation of ``layer.thetas`` alike are
+picked up on the next pass; a hit copies nothing, and the parameters are
+copied only when they are refolded.  The backend keeps the per-layer
+unitaries of that fold (:meth:`FusedBackend.layer_unitaries`) and, while
+the parameters still match, serves them (:meth:`FusedBackend.cached_mesh`) to the reverse-mode
 adjoint sweep of :mod:`repro.training.gradients` and, with the
 recurrence columns, to the prefix/suffix workspace of the ``fd``,
 ``central`` and ``derivative`` methods — so a training step folds each
@@ -57,22 +58,20 @@ class FusedBackend(Backend):
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        self._mesh = None
-        self._unitary = None
-
-    def cached_mesh(self, params: np.ndarray) -> Optional[MeshLayers]:
-        """The cached fold's layers if they were built from ``params``."""
+    def cached_mesh(self) -> Optional[MeshLayers]:
+        """The cached fold's layers if they were built from the network's
+        current parameters."""
         mesh = self._mesh
-        if mesh is not None and np.array_equal(params, mesh.params):
+        if mesh is not None and np.array_equal(
+            self.network._params.ravel(), mesh.params
+        ):
             return mesh
         return None
 
     def _refresh(self) -> np.ndarray:
         """The fused unitary, refolded unless the parameter set is unchanged."""
-        params = self.network.get_flat_params()
-        if self.cached_mesh(params) is None:
-            mesh = mesh_layers(self.program, params)
+        if self.cached_mesh() is None:
+            mesh = mesh_layers(self.program, self.network.get_flat_params())
             self._unitary = fold(mesh.layers)
             self._mesh = mesh
         assert self._unitary is not None
@@ -117,7 +116,6 @@ class FusedBackend(Backend):
         """The prefix/suffix workspace, built on the cached fold's layers
         when the parameters still match (a miss runs the recurrence
         without forming the product)."""
-        mesh = self.cached_mesh(self.network.get_flat_params())
         return PrefixSuffixWorkspace(
-            self.network, self.program, inputs, mesh=mesh
+            self.network, self.program, inputs, mesh=self.cached_mesh()
         )

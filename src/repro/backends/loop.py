@@ -3,9 +3,11 @@
 This is the seed implementation's execution strategy, re-expressed over the
 compiled :class:`~repro.backends.program.GateProgram`: the same
 :func:`~repro.simulator.gates.apply_givens_batch` kernel is invoked for the
-same gates in the same order with the same scalar parameters, so outputs
-are **bit-identical** to the original nested layer loop.  Every other
-backend is validated against this one (``tests/backends/``).
+same gates in the same order with the same scalar parameters, read from
+the network's flat parameters through the program's ``theta_index`` /
+``alpha_index``, so outputs are **bit-identical** to the original nested
+layer loop.  Every other backend is validated against this one
+(``tests/backends/``).
 """
 
 from __future__ import annotations
@@ -31,20 +33,19 @@ class LoopBackend(Backend):
 
     def forward_inplace(self, data: np.ndarray, inverse: bool = False) -> None:
         prog = self.program
-        layers = self.network.layers
+        params = self.network._params.ravel()
         modes = prog.modes
-        layer_index = prog.layer_index
+        theta_index = prog.theta_index
+        alpha_index = prog.alpha_index
         order = range(prog.num_gates)
         if inverse:
             order = reversed(order)
         for g in order:
-            k = int(modes[g])
-            layer = layers[layer_index[g]]
-            alphas = layer.alphas
+            a = alpha_index[g]
             apply_givens_batch(
                 data,
-                k,
-                float(layer.thetas[k]),
-                alpha=0.0 if alphas is None else float(alphas[k]),
+                int(modes[g]),
+                float(params[theta_index[g]]),
+                alpha=0.0 if a < 0 else float(params[a]),
                 inverse=inverse,
             )

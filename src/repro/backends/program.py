@@ -12,7 +12,8 @@ descending, allow_phase)``, never on parameter values, so it is compiled
 once when a backend binds to a network and stays valid across training
 updates.  Parameter values are always read at execution time through the
 ``theta_index`` / ``alpha_index`` columns, which index the network's *flat
-parameter vector* (the same layout as ``get_flat_params``).
+parameter vector*: the C-order ravel of its one parameter array, the same
+layout as ``get_flat_params``.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def compile_program(network: "QuantumNetwork") -> GateProgram:
     """Lower ``network`` into a :class:`GateProgram`.
 
     The application order matches ``QuantumNetwork.forward_inplace``
-    exactly: layer 0 first, gates within each layer in the layer's
-    ``mode_sequence`` order (ascending or descending).
+    exactly: layer 0 first, gates within each layer in ascending mode
+    order, or descending for a ``descending`` network.
 
     Examples
     --------
@@ -141,20 +142,16 @@ def compile_program(network: "QuantumNetwork") -> GateProgram:
     """
     dim = network.dim
     g_per_layer = dim - 1
-    total = network.num_layers * g_per_layer
-    modes = np.empty(total, dtype=np.int64)
-    layer_index = np.empty(total, dtype=np.int64)
-    g = 0
-    for p, layer in enumerate(network.layers):
-        seq = layer.mode_sequence()
-        modes[g : g + g_per_layer] = seq
-        layer_index[g : g + g_per_layer] = p
-        g += g_per_layer
+    seq = np.arange(g_per_layer)
+    if network.descending:
+        seq = seq[::-1]
+    modes = np.tile(seq, network.num_layers)
+    layer_index = np.repeat(np.arange(network.num_layers), g_per_layer)
     theta_index = layer_index * g_per_layer + modes
     if network.allow_phase:
         alpha_index = network.num_thetas + theta_index
     else:
-        alpha_index = np.full(total, -1, dtype=np.int64)
+        alpha_index = np.full(modes.size, -1, dtype=np.int64)
     return GateProgram(
         dim=dim,
         num_layers=network.num_layers,

@@ -49,11 +49,6 @@ DEFAULT_MIN_SHARD_COLUMNS = 1024
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: Per-worker-process cache of compiled networks keyed by structure;
-#: one entry per distinct (dim, layers, order, phase) — e.g. U_C and U_R.
-_WORKER_NETWORKS: dict = {}
-
-
 def _forward_block(
     block: np.ndarray,
     struct: Tuple[int, int, bool, bool],
@@ -66,22 +61,9 @@ def _forward_block(
     ``scatter_gather``; ``block`` is the worker's private contiguous
     copy of its column shard, mutated in place by one fused GEMM.
     """
-    from repro.network.quantum_network import QuantumNetwork
+    from repro.parallel.reducer import _worker_network
 
-    net = _WORKER_NETWORKS.get(struct)
-    if net is None:
-        dim, num_layers, descending, allow_phase = struct
-        net = QuantumNetwork(
-            dim,
-            num_layers,
-            descending=descending,
-            allow_phase=allow_phase,
-            backend="fused",
-        )
-        _WORKER_NETWORKS[struct] = net
-    if not np.array_equal(net.get_flat_params(), params):
-        net.set_flat_params(params)
-    net.forward_inplace(block, inverse=inverse)
+    _worker_network(struct, params).forward_inplace(block, inverse=inverse)
 
 
 # ----------------------------------------------------------------------
@@ -200,13 +182,6 @@ class ShardedBackend(Backend):
         clone._slot = self._slot
         return clone
 
-    def invalidate(self) -> None:
-        # Parameters ride with every shard task (workers compare and
-        # refresh), so only the in-process backend caches to drop.
-        local = getattr(self, "_local", None)
-        if local is not None:
-            local.invalidate()
-
     @property
     def pool(self):
         """The backing :class:`WorkerPool` (created, but not started)."""
@@ -244,9 +219,7 @@ class ShardedBackend(Backend):
             self._local.forward_inplace(data, inverse=inverse)
             return
         net = self.network
-        if not np.iscomplexobj(data) and not all(
-            layer.is_real for layer in net.layers
-        ):
+        if not np.iscomplexobj(data) and np.any(net._params[1:]):
             # Same contract as the loop/fused kernels, checked before any
             # scatter so the error surfaces in the calling process.
             raise GateError(

@@ -30,6 +30,7 @@ __all__ = [
     "DeadlineExpired",
     "ProtocolError",
     "ExperimentError",
+    "WorkerSpawnError",
     "BaselineError",
     "ImagingError",
 ]
@@ -132,6 +133,11 @@ class ProtocolError(ServingError):
 
 class ExperimentError(ReproError, RuntimeError):
     """An experiment harness was misconfigured or failed to run."""
+
+
+class WorkerSpawnError(ReproError, RuntimeError):
+    """A worker pool cannot start: its workers would re-import the main
+    module from a file that does not exist (a ``python -`` script)."""
 
 
 class BaselineError(ReproError, ValueError):

@@ -251,8 +251,8 @@ def imperfection_study(
     trained = _train_once(cfg)
     ae, X = trained["autoencoder"], trained["X"]
     enc = ae.codec.encode(X)
-    uc_params = np.asarray(ae.uc.get_flat_params(), dtype=np.float64)
-    ur_params = np.asarray(ae.ur.get_flat_params(), dtype=np.float64)
+    uc_params = ae.uc.get_flat_params()
+    ur_params = ae.ur.get_flat_params()
     rng = ensure_rng(seed)
     records = []
     for sigma in theta_sigmas:

@@ -5,9 +5,15 @@ two-mode gates on adjacent modes, applied in a fixed *mode order*.  The
 compression network uses ascending order; the reconstruction network
 connects the same gates "in reverse order" (descending), per Section III-B.
 
-The layer owns a length-``N-1`` vector of ``theta`` parameters (and,
-optionally, ``alpha`` phases for the complex extension of Section V).  All
-application kernels operate in place on ``(N, M)`` column-state batches.
+The layer's length-``N-1`` ``theta`` parameters (and, optionally, ``alpha``
+phases for the complex extension of Section V) are one row of a parameter
+array: a :class:`~repro.network.quantum_network.QuantumNetwork`'s
+``(1 + allow_phase, L, N-1)`` array for its layers, a ``(1 + phase, 1,
+N-1)`` array of its own for a standalone layer.  :attr:`GateLayer.thetas`
+and :attr:`GateLayer.alphas` read that row as a view and write it through a
+checked copy.  Application folds the chain in closed form
+(:func:`repro.backends.fold.chain_layers`) and applies it as one matrix
+product to ``(N, M)`` column-state batches.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import NetworkConfigError
-from repro.simulator.gates import apply_givens_batch
+from repro.backends.fold import chain_layers
+from repro.exceptions import GateError, NetworkConfigError
 
 __all__ = ["GateLayer"]
 
@@ -58,31 +64,61 @@ class GateLayer:
             raise NetworkConfigError(f"dim must be an int >= 2, got {dim!r}")
         self.dim = int(dim)
         self.descending = bool(descending)
-        n_gates = self.dim - 1
-        if thetas is None:
-            self.thetas = np.zeros(n_gates)
-        else:
-            self.thetas = np.asarray(thetas, dtype=np.float64).copy()
-            if self.thetas.shape != (n_gates,):
-                raise NetworkConfigError(
-                    f"thetas must have shape ({n_gates},), got "
-                    f"{self.thetas.shape}"
-                )
-        if not np.all(np.isfinite(self.thetas)):
-            raise NetworkConfigError("thetas contain NaN or Inf")
-        if alphas is None:
-            self.alphas: Optional[np.ndarray] = None
-        else:
-            self.alphas = np.asarray(alphas, dtype=np.float64).copy()
-            if self.alphas.shape != (n_gates,):
-                raise NetworkConfigError(
-                    f"alphas must have shape ({n_gates},), got "
-                    f"{self.alphas.shape}"
-                )
-            if not np.all(np.isfinite(self.alphas)):
-                raise NetworkConfigError("alphas contain NaN or Inf")
+        self._params = np.zeros((1 if alphas is None else 2, 1, self.dim - 1))
+        self._index = 0
+        if thetas is not None:
+            self.thetas = thetas
+        if alphas is not None:
+            self.alphas = alphas
+
+    @classmethod
+    def _row_of(cls, params: np.ndarray, index: int, descending: bool):
+        """Layer ``index`` of a network's ``(1 + allow_phase, L, N-1)``
+        parameter array, read and written in place."""
+        layer = cls.__new__(cls)
+        layer.dim = params.shape[-1] + 1
+        layer.descending = descending
+        layer._params = params
+        layer._index = index
+        return layer
+
+    def _checked_row(self, values, name: str) -> np.ndarray:
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape != (self.num_gates,):
+            raise NetworkConfigError(
+                f"{name} must have shape ({self.num_gates},), got {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise NetworkConfigError(f"{name} contain NaN or Inf")
+        return arr
 
     # ------------------------------------------------------------------
+    @property
+    def thetas(self) -> np.ndarray:
+        """The layer's ``theta`` row: a view, so in-place edits land in
+        the owning parameter array."""
+        return self._params[0, self._index]
+
+    @thetas.setter
+    def thetas(self, values: Sequence[float] | np.ndarray) -> None:
+        self._params[0, self._index] = self._checked_row(values, "thetas")
+
+    @property
+    def alphas(self) -> Optional[np.ndarray]:
+        """The layer's ``alpha`` row (a view), or ``None`` for a real layer."""
+        if self._params.shape[0] == 1:
+            return None
+        return self._params[1, self._index]
+
+    @alphas.setter
+    def alphas(self, values: Sequence[float] | np.ndarray) -> None:
+        if self._params.shape[0] == 1:
+            raise NetworkConfigError(
+                "this layer carries no alphas (build it with alphas, or the "
+                "network with allow_phase=True)"
+            )
+        self._params[1, self._index] = self._checked_row(values, "alphas")
+
     @property
     def num_gates(self) -> int:
         return self.dim - 1
@@ -103,45 +139,40 @@ class GateLayer:
         return seq[::-1].copy() if self.descending else seq
 
     # ------------------------------------------------------------------
+    def unitary(self) -> np.ndarray:
+        """Materialise the layer's ``N x N`` matrix (real unless some
+        ``alpha`` is non-zero)."""
+        c, s = np.cos(self.thetas), np.sin(self.thetas)
+        pc, ps = c, s
+        if not self.is_real:
+            phase = np.cos(self.alphas) + 1j * np.sin(self.alphas)
+            pc, ps = phase * c, phase * s
+        return chain_layers(c, s, pc, ps, self.descending)[0]
+
     def apply_inplace(self, data: np.ndarray, inverse: bool = False) -> None:
         """Apply the layer (or its exact inverse) in place to ``(N, M)`` data."""
-        alphas = self.alphas
-        order = self.mode_sequence()
-        if inverse:
-            order = order[::-1]
-        for k in order:
-            apply_givens_batch(
-                data,
-                int(k),
-                float(self.thetas[k]),
-                alpha=0.0 if alphas is None else float(alphas[k]),
-                inverse=inverse,
+        u = self.unitary()
+        if np.iscomplexobj(u) and not np.iscomplexobj(data):
+            raise GateError(
+                "a non-zero phase alpha requires a complex state batch; the "
+                "paper's real network fixes alpha = 0 (Section III-A)"
             )
+        if inverse:
+            u = u.conj().T
+        data[:] = u @ data
 
     def apply(self, data: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Out-of-place application; returns a new array."""
         out = np.array(data, copy=True)
-        if out.ndim == 1:
-            out2 = out.reshape(-1, 1)
-            self.apply_inplace(out2, inverse=inverse)
-            return out2.ravel()
         self.apply_inplace(out, inverse=inverse)
         return out
 
-    def unitary(self) -> np.ndarray:
-        """Materialise the layer's ``N x N`` matrix."""
-        dtype = np.float64 if self.is_real and self.alphas is None else (
-            np.float64 if self.is_real else np.complex128
-        )
-        u = np.eye(self.dim, dtype=dtype)
-        self.apply_inplace(u)
-        return u
-
     def copy(self) -> "GateLayer":
+        """A standalone layer with its own parameter array."""
         return GateLayer(
             self.dim,
-            thetas=self.thetas.copy(),
-            alphas=None if self.alphas is None else self.alphas.copy(),
+            thetas=self.thetas,
+            alphas=self.alphas,
             descending=self.descending,
         )
 

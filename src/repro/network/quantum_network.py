@@ -5,11 +5,17 @@ paper's compression network ``U_C`` uses 12 layers and the reconstruction
 network ``U_R`` 14 layers on ``N = 16`` modes, giving ``12 x 15`` and
 ``14 x 15`` trainable ``theta`` parameters respectively (Section IV-A).
 
-The class exposes a *flat parameter vector* interface (`get_flat_params` /
-`set_flat_params`) which the optimizers and all four gradient methods use,
-plus a traced forward pass (`forward_trace`) that records, for every gate,
-the two state rows it consumed — the minimal tape needed for exact
-reverse-mode (adjoint) differentiation at ``O(1)`` extra memory per gate.
+The network owns one float64 parameter array of shape
+``(1 + allow_phase, num_layers, N-1)`` (thetas, then alphas); each layer's
+:attr:`GateLayer.thetas` / ``.alphas`` is a row of it, and its C-order
+ravel is the *flat parameter vector* layout of `get_flat_params` /
+`set_flat_params`, which the optimizers and all four gradient methods use.
+Caches (the ``fused`` fold, the gradient workspaces, pool workers) compare
+that live array with their snapshot, so a direct ``layer.thetas`` edit is
+seen without a concatenation.  A traced forward pass (`forward_trace`)
+records, for every gate, the two state rows it consumed — the minimal tape
+needed for exact reverse-mode (adjoint) differentiation at ``O(1)`` extra
+memory per gate.
 
 Execution is delegated to a pluggable backend (:mod:`repro.backends`):
 ``"loop"`` (the bit-exact per-gate reference), ``"fused"`` (cached
@@ -20,7 +26,7 @@ processes).  Select at construction or via :meth:`set_backend`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from repro.utils.rng import ensure_rng
 __all__ = ["QuantumNetwork", "ForwardTrace"]
 
 
-class ForwardTrace:
+class ForwardTrace(NamedTuple):
     """Tape recorded by :meth:`QuantumNetwork.forward_trace`.
 
     Attributes
@@ -52,19 +58,10 @@ class ForwardTrace:
         ``(num_gates_total,)`` int array of the mode ``k`` of each gate.
     """
 
-    __slots__ = ("output", "row_tape", "gate_index", "modes")
-
-    def __init__(
-        self,
-        output: np.ndarray,
-        row_tape: np.ndarray,
-        gate_index: np.ndarray,
-        modes: np.ndarray,
-    ) -> None:
-        self.output = output
-        self.row_tape = row_tape
-        self.gate_index = gate_index
-        self.modes = modes
+    output: np.ndarray
+    row_tape: np.ndarray
+    gate_index: np.ndarray
+    modes: np.ndarray
 
 
 class QuantumNetwork:
@@ -119,14 +116,15 @@ class QuantumNetwork:
         self.num_layers = int(num_layers)
         self.descending = bool(descending)
         self.allow_phase = bool(allow_phase)
-        self.layers: List[GateLayer] = [
-            GateLayer(
-                self.dim,
-                alphas=np.zeros(self.dim - 1) if allow_phase else None,
-                descending=descending,
-            )
-            for _ in range(self.num_layers)
-        ]
+        # Backends and pool workers read this array in place.  `layers`
+        # is a tuple: a swapped-in layer would not be a row of it.
+        self._params = np.zeros(
+            (1 + self.allow_phase, self.num_layers, self.dim - 1)
+        )
+        self.layers: Tuple[GateLayer, ...] = tuple(
+            GateLayer._row_of(self._params, p, self.descending)
+            for p in range(self.num_layers)
+        )
         self._backend: Backend = make_backend(backend).bind(self)
 
     # ------------------------------------------------------------------
@@ -166,35 +164,23 @@ class QuantumNetwork:
 
     @property
     def theta_matrix(self) -> np.ndarray:
-        """``(num_layers, N-1)`` view-copy of all thetas."""
-        return np.stack([layer.thetas for layer in self.layers])
+        """``(num_layers, N-1)`` copy of all thetas."""
+        return self._params[0].copy()
 
     def get_flat_params(self) -> np.ndarray:
-        thetas = np.concatenate([layer.thetas for layer in self.layers])
-        if not self.allow_phase:
-            return thetas
-        alphas = np.concatenate(
-            [np.asarray(layer.alphas) for layer in self.layers]
-        )
-        return np.concatenate([thetas, alphas])
+        """A fresh float64 copy of the flat parameter vector
+        ``[thetas..., alphas...]`` (layer-major within each half)."""
+        return self._params.flatten()
 
     def set_flat_params(self, params: np.ndarray) -> None:
-        arr = np.asarray(params, dtype=np.float64).ravel()
+        arr = np.asarray(params, dtype=np.float64)
         if arr.size != self.num_parameters:
             raise NetworkConfigError(
                 f"expected {self.num_parameters} parameters, got {arr.size}"
             )
         if not np.all(np.isfinite(arr)):
             raise NetworkConfigError("parameters contain NaN or Inf")
-        g = self.gates_per_layer
-        for p, layer in enumerate(self.layers):
-            layer.thetas[:] = arr[p * g : (p + 1) * g]
-        if self.allow_phase:
-            off = self.num_thetas
-            for p, layer in enumerate(self.layers):
-                assert layer.alphas is not None
-                layer.alphas[:] = arr[off + p * g : off + (p + 1) * g]
-        self._backend.invalidate()
+        self._params[...] = arr.reshape(self._params.shape)
 
     def initialize(
         self,
@@ -301,9 +287,7 @@ class QuantumNetwork:
     # ------------------------------------------------------------------
     def unitary(self) -> np.ndarray:
         """Materialise the full network matrix (inspection / tests only)."""
-        dtype = np.complex128 if (
-            self.allow_phase and not all(l.is_real for l in self.layers)
-        ) else np.float64
+        dtype = np.complex128 if np.any(self._params[1:]) else np.float64
         u = np.eye(self.dim, dtype=dtype)
         self.forward_inplace(u)
         return u
@@ -334,7 +318,7 @@ class QuantumNetwork:
             allow_phase=self.allow_phase,
             backend=self._backend.spawn(),
         )
-        clone.set_flat_params(self.get_flat_params())
+        clone.set_flat_params(self._params)
         return clone
 
     def __repr__(self) -> str:

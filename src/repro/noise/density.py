@@ -184,8 +184,8 @@ def density_forward(
     uc, ur = autoencoder.uc, autoencoder.ur
     uc_prog = _program_for_struct(_network_struct(uc))
     ur_prog = _program_for_struct(_network_struct(ur))
-    uc_params = np.asarray(uc.get_flat_params(), dtype=np.float64)
-    ur_params = np.asarray(ur.get_flat_params(), dtype=np.float64)
+    uc_params = uc.get_flat_params()
+    ur_params = ur.get_flat_params()
     keep = np.asarray(autoencoder.projection.keep, dtype=np.int64)
     dim, num_samples = amplitudes.shape
 

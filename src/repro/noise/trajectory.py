@@ -498,8 +498,8 @@ def trajectory_forward(
     uc, ur = autoencoder.uc, autoencoder.ur
     uc_prog = _program_for_struct(_network_struct(uc))
     ur_prog = _program_for_struct(_network_struct(ur))
-    uc_params = np.asarray(uc.get_flat_params(), dtype=np.float64)
-    ur_params = np.asarray(ur.get_flat_params(), dtype=np.float64)
+    uc_params = uc.get_flat_params()
+    ur_params = ur.get_flat_params()
     keep = np.asarray(autoencoder.projection.keep, dtype=np.int64)
 
     per_realization: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []

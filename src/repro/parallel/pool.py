@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import threading
 import time
 import weakref
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context, process, shared_memory
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError, ExperimentError
+from repro.exceptions import DimensionError, ExperimentError, WorkerSpawnError
 from repro.parallel.sharding import plan_shards
 
 __all__ = ["WorkerPool", "default_worker_count"]
@@ -87,6 +88,27 @@ def attach_shared_block(name: str) -> shared_memory.SharedMemory:
 #: Per-worker-process cache of dense operators, keyed by the (unique)
 #: shared-memory segment name the parent shipped them in.
 _OPERATOR_CACHE: Dict[str, np.ndarray] = {}
+
+
+def _check_main_importable() -> None:
+    """Raise if spawned workers could not re-import ``__main__``.
+
+    ``multiprocessing.spawn``'s test: a main module without a ``__spec__``
+    name is re-run in each worker from its ``__file__``.  A missing file
+    (``'<stdin>'`` under ``python -``) kills every worker on start-up and
+    the pool would replace them forever.
+    """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is not None or path is None:
+        return
+    path = os.path.join(process.ORIGINAL_DIR or "", path)
+    if not os.path.exists(path):
+        raise WorkerSpawnError(
+            f"workers re-import the main module from {path!r}, which does "
+            "not exist (a script read from stdin?); run it from a file "
+            "with an 'if __name__ == \"__main__\":' guard"
+        )
 
 
 def _apply_dense_task(payload: Tuple) -> Tuple[int, int]:
@@ -210,6 +232,7 @@ class WorkerPool:
         """Spawn the workers now (otherwise the first task does it)."""
         if self._state["pool"] is not None:
             return self
+        _check_main_importable()
         saved = {var: os.environ.get(var) for var in _BLAS_ENV_VARS}
         try:
             for var in _BLAS_ENV_VARS:

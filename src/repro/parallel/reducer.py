@@ -141,12 +141,17 @@ def tree_reduce(values: Sequence):
 # ----------------------------------------------------------------------
 # worker side (module-level: picklable by reference)
 # ----------------------------------------------------------------------
-#: Per-worker-process cache of rebuilt networks keyed by structure;
-#: one entry per distinct (dim, layers, order, phase).
+#: Per-worker-process cache of rebuilt ``fused`` networks keyed by
+#: structure; one entry per distinct (dim, layers, order, phase) — e.g.
+#: U_C and U_R — shared by every worker-side task.
 _WORKER_NETWORKS: dict = {}
 
 
-def _worker_network(struct: Tuple[int, int, bool, bool]):
+def _worker_network(
+    struct: Tuple[int, int, bool, bool], params: Optional[np.ndarray] = None
+):
+    """The worker's network for ``struct``, synced to ``params`` if given
+    (copied in only when they differ from its live parameter array)."""
     net = _WORKER_NETWORKS.get(struct)
     if net is None:
         from repro.network.quantum_network import QuantumNetwork
@@ -160,6 +165,8 @@ def _worker_network(struct: Tuple[int, int, bool, bool]):
             backend="fused",
         )
         _WORKER_NETWORKS[struct] = net
+    if params is not None and not np.array_equal(net._params.ravel(), params):
+        net.set_flat_params(params)
     return net
 
 
@@ -178,9 +185,7 @@ def _batch_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     )
     from repro.training.gradients import loss_and_gradient
 
-    net = _worker_network(struct)
-    if not np.array_equal(net.get_flat_params(), params):
-        net.set_flat_params(params)
+    net = _worker_network(struct, params)
     return loss_and_gradient(
         net,
         inputs,
@@ -219,9 +224,7 @@ def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
         _workspace_loss_and_adjoint,
     )
 
-    net = _worker_network(struct)
-    if not np.array_equal(net.get_flat_params(), params):
-        net.set_flat_params(params)
+    net = _worker_network(struct, params)
     projection = _worker_projection(struct[0], keep)
     ws = net.backend.gradient_workspace(inputs)
     grad = np.empty(hi - lo)

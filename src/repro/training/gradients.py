@@ -494,25 +494,16 @@ def _loss_and_grad_derivative(
     if projection is not None:
         lam = projection.apply(lam)
     grad = np.zeros(network.num_parameters)
-    g = network.gates_per_layer
-    for p, layer in enumerate(network.layers):
-        for k in range(g):
-            dout = _forward_with_derivative_gate(network, inputs, p, k, False)
-            if projection is not None:
-                projection.apply_inplace(dout)
-            grad[p * g + k] = float(np.real(np.sum(np.conj(lam) * dout)))
-    if network.allow_phase:
-        off = network.num_thetas
-        for p, layer in enumerate(network.layers):
-            for k in range(g):
-                dout = _forward_with_derivative_gate(
-                    network, inputs, p, k, True
-                )
-                if projection is not None:
-                    projection.apply_inplace(dout)
-                grad[off + p * g + k] = float(
-                    np.real(np.sum(np.conj(lam) * dout))
-                )
+    for i in range(network.num_parameters):
+        # Flat layout: thetas then alphas, each layer-major.
+        wrt_alpha, j = divmod(i, network.num_thetas)
+        p, k = divmod(j, network.gates_per_layer)
+        dout = _forward_with_derivative_gate(
+            network, inputs, p, k, bool(wrt_alpha)
+        )
+        if projection is not None:
+            projection.apply_inplace(dout)
+        grad[i] = float(np.real(np.sum(np.conj(lam) * dout)))
     return base, grad
 
 
@@ -818,11 +809,10 @@ def _loss_and_grad_adjoint(
       ``K = 1``, on the backend's cached fold when it matches.
     """
     if engine == "batched":
-        params = network.get_flat_params()
         backend = getattr(network, "backend", None)
-        mesh = None if backend is None else backend.cached_mesh(params)
+        mesh = None if backend is None else backend.cached_mesh()
         if mesh is None:
-            mesh = mesh_layers(network, params[None])
+            mesh = mesh_layers(network, network.get_flat_params()[None])
         values, grads = _sweep_block(
             network, mesh, 1, inputs, targets, loss, projection,
             network.result_dtype(inputs),

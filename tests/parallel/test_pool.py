@@ -7,12 +7,24 @@ unconditionally.
 
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError, ExperimentError
-from repro.parallel.pool import _BLAS_ENV_VARS, WorkerPool, default_worker_count
+import repro
+import repro.parallel.pool as pool_module
+from repro.exceptions import DimensionError, ExperimentError, WorkerSpawnError
+from repro.parallel.pool import (
+    _BLAS_ENV_VARS,
+    WorkerPool,
+    _check_main_importable,
+    default_worker_count,
+)
 
 
 def _blas_env_probe(_):
@@ -76,6 +88,78 @@ class TestDefaults:
 
 
 @pytest.mark.slow
+class TestUnimportableMain:
+    """Spawned workers re-import ``__main__``; a script read from stdin has
+    no file to re-import, so the pool must raise instead of respawning
+    dead workers forever."""
+
+    def _fake_main(self, monkeypatch, file, spec_name=None):
+        main = types.ModuleType("__main__")
+        main.__spec__ = (
+            None if spec_name is None else types.SimpleNamespace(name=spec_name)
+        )
+        if file is not None:
+            main.__file__ = file
+        monkeypatch.setitem(sys.modules, "__main__", main)
+
+    def test_stdin_main_raises_before_any_worker(self, monkeypatch):
+        self._fake_main(monkeypatch, "<stdin>")
+        # A stub context: were the check skipped, start() would fail on
+        # it instead of spawning workers that re-import this fake main.
+        contexts = []
+        monkeypatch.setattr(pool_module, "get_context", contexts.append)
+        pool = WorkerPool(processes=2)
+        with pytest.raises(WorkerSpawnError, match="<stdin>"):
+            pool.map(len, [[1]])
+        assert contexts == []
+        assert not pool.running
+
+    def test_missing_absolute_main_raises(self, monkeypatch, tmp_path):
+        self._fake_main(monkeypatch, str(tmp_path / "gone.py"))
+        with pytest.raises(WorkerSpawnError, match="gone.py"):
+            _check_main_importable()
+
+    @pytest.mark.parametrize("case", ["file", "module", "interactive"])
+    def test_importable_mains_pass(self, monkeypatch, case):
+        if case == "file":
+            self._fake_main(monkeypatch, __file__)
+        elif case == "module":
+            self._fake_main(monkeypatch, "<stdin>", spec_name="pkg.__main__")
+        else:
+            self._fake_main(monkeypatch, None)
+        _check_main_importable()
+
+    @pytest.mark.slow
+    def test_python_stdin_script_exits_with_error(self):
+        script = (
+            "from repro.parallel import WorkerPool\n"
+            "print(WorkerPool(2).map(len, [[1], [2, 3]]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(script, timeout=60)
+        except subprocess.TimeoutExpired:
+            # Kill the whole session, respawned workers included.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a WorkerPool started from stdin hung")
+        assert proc.returncode != 0
+        assert "WorkerSpawnError" in err
+
+
 class TestPoolExecution:
     @pytest.fixture(scope="class")
     def pool(self):
