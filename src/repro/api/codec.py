@@ -328,12 +328,13 @@ class Codec:
 
         model = NoiseModel.from_spec(noise)
         if model is not None:
-            from repro.noise.evaluate import evaluate_noisy
+            from repro.noise.evaluate import _evaluate_encoded
 
             metrics.update(
-                evaluate_noisy(
+                _evaluate_encoded(
                     self._ae,
                     X,
+                    out.encoded,
                     model,
                     trajectories=(
                         noise_trajectories

@@ -210,10 +210,6 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _struct(self) -> Tuple[int, int, bool, bool]:
-        net = self.network
-        return (net.dim, net.num_layers, net.descending, net.allow_phase)
-
     def forward_inplace(self, data: np.ndarray, inverse: bool = False) -> None:
         if data.shape[1] < self._min_shard_columns:
             self._local.forward_inplace(data, inverse=inverse)
@@ -226,10 +222,12 @@ class ShardedBackend(Backend):
                 "a non-zero phase alpha requires a complex state batch; the "
                 "paper's real network fixes alpha = 0 (Section III-A)"
             )
+        from repro.parallel.reducer import _network_struct
+
         self._slot.ensure().scatter_gather(
             _forward_block,
             data,
-            extra=(self._struct(), net.get_flat_params(), bool(inverse)),
+            extra=(_network_struct(net), net.get_flat_params(), bool(inverse)),
             min_columns=self._min_shard_columns,
         )
 

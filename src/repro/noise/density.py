@@ -40,8 +40,6 @@ from repro.noise.trajectory import (
     NoisyForwardResult,
     STREAM_MEASURE,
     _masked_compress,
-    _network_struct,
-    _program_for_struct,
     clean_mesh_matrix,
     measure_probabilities,
     realization_rng,
@@ -182,8 +180,7 @@ def density_forward(
     if amplitudes.ndim == 1:
         amplitudes = amplitudes.reshape(-1, 1)
     uc, ur = autoencoder.uc, autoencoder.ur
-    uc_prog = _program_for_struct(_network_struct(uc))
-    ur_prog = _program_for_struct(_network_struct(ur))
+    uc_prog, ur_prog = uc.backend.program, ur.backend.program
     uc_params = uc.get_flat_params()
     ur_params = ur.get_flat_params()
     keep = np.asarray(autoencoder.projection.keep, dtype=np.int64)

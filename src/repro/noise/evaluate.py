@@ -60,7 +60,26 @@ def evaluate_noisy(
     ``model.shots`` degrade them exactly as hardware counts would.
     """
     X = np.asarray(X, dtype=np.float64)
-    enc = autoencoder.codec.encode(X)
+    return _evaluate_encoded(
+        autoencoder, X, autoencoder.codec.encode(X), model,
+        trajectories=trajectories, seed=seed, epoch=epoch, pool=pool, path=path,
+    )
+
+
+def _evaluate_encoded(
+    autoencoder,
+    X: np.ndarray,
+    enc,
+    model: NoiseModel,
+    *,
+    trajectories: int,
+    seed: int,
+    epoch: int = 0,
+    pool=None,
+    path: str,
+) -> Dict[str, float]:
+    """:func:`evaluate_noisy` on the float64 ``X`` and its already
+    encoded batch ``enc``."""
     if path == "density":
         from repro.noise.density import density_forward
 

@@ -225,14 +225,10 @@ def noisy_loss_and_gradient(
     )
     pairs: List[Tuple[float, np.ndarray]]
     if reducer is not None and reducer.num_workers > 1 and K > 1:
+        from repro.parallel.reducer import _network_struct
         from repro.parallel.sharding import plan_shards
 
-        struct = (
-            network.dim,
-            network.num_layers,
-            network.descending,
-            network.allow_phase,
-        )
+        struct = _network_struct(network)
         keep = (
             None
             if projection is None

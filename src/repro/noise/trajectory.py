@@ -15,6 +15,15 @@ whole ``(B, N, M)`` stack; in the first block the fold's row 0 is the
 clean mesh, the fidelity reference.  Every sample moves through a
 realization in one GEMM.
 
+A frozen mesh is evaluated again and again with one seed, so in process
+the first block's folds of each mesh are kept (:func:`_kept_folds`): one
+read-only entry per stream for the whole process, holding the stack,
+its jitter rows and the parameters it was folded at.  A call with the
+same structure, ``theta_sigma``, ``loss_per_gate``, block, seed and
+epoch and equal parameters reuses the stack; new parameters alone refold
+with the kept jitter rows; anything else refolds as before.  Pool shards
+fold their own range from its keys.
+
 The wire channels (dephasing / depolarizing) act between ``U_C`` and
 ``U_R``; because the pipeline only ever measures in the computational
 basis at the very end, their effect on the measured distribution has an
@@ -338,32 +347,70 @@ class NoisyForwardResult:
         return float(np.mean(self.fidelity))
 
 
-def _network_struct(network) -> Tuple[int, int, bool, bool]:
-    return (
-        int(network.dim),
-        int(network.num_layers),
-        bool(network.descending),
-        bool(network.allow_phase),
+#: Most float64s the kept folds and jitter rows of one stream may hold
+#: (512 KB); the paper's K = 8 entries hold 3,924 (U_C) and 4,194 (U_R).
+_KEEP_ELEMENTS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _KeptFolds:
+    """The last first-block folds of one stream and what they were built from."""
+
+    key: Tuple  #: (structure, theta_sigma, loss_per_gate, count, seed, epoch)
+    jitter: Optional[np.ndarray]  #: read-only (count, num_thetas), or None
+    params: np.ndarray  #: the flat parameters the folds were built at
+    folds: np.ndarray  #: read-only (1 + count, N, N): clean, then r = 0..
+
+
+#: One entry per stream (``U_C``, ``U_R``) for the whole process, so the
+#: memory kept does not grow with the number of codecs.
+_KEPT: Dict[int, _KeptFolds] = {}
+
+
+def _mesh_jitter(mesh, model, seed, epoch, stream, lo, hi) -> Optional[np.ndarray]:
+    """The jitter rows of realizations ``[lo, hi)`` of one mesh, or
+    ``None`` without angle jitter."""
+    if model.theta_sigma <= 0.0:
+        return None
+    return jitter_block(
+        mesh.num_layers * (mesh.dim - 1),
+        model.theta_sigma, seed, epoch, lo, hi, stream,
     )
 
 
-_PROGRAM_CACHE: Dict[Tuple[int, int, bool, bool], object] = {}
+def _kept_folds(mesh, params, model, seed, epoch, stream, count) -> np.ndarray:
+    """``_mesh_folds`` of the clean row and realizations ``[0, count)``,
+    reused while nothing they depend on has changed.
 
+    A frozen mesh is evaluated again and again with one seed, so each
+    stream keeps its last stack with its jitter rows.  It is reused while
+    the structure, ``theta_sigma``, ``loss_per_gate``, ``count``, seed and
+    epoch match and ``params`` equals the snapshot; new parameters alone
+    refold with the kept jitter rows.  A stack and jitter of more than
+    :data:`_KEEP_ELEMENTS` is folded but not kept.
+    """
+    from repro.parallel.reducer import _network_struct
 
-def _program_for_struct(struct: Tuple[int, int, bool, bool]):
-    prog = _PROGRAM_CACHE.get(struct)
-    if prog is None:
-        from repro.backends.program import compile_program
-        from repro.network.quantum_network import QuantumNetwork
-
-        dim, num_layers, descending, allow_phase = struct
-        prog = compile_program(
-            QuantumNetwork(
-                dim, num_layers, descending=descending, allow_phase=allow_phase
-            )
-        )
-        _PROGRAM_CACHE[struct] = prog
-    return prog
+    key = (
+        _network_struct(mesh), model.theta_sigma, model.loss_per_gate,
+        count, seed, epoch,
+    )
+    entry = _KEPT.get(stream)
+    if entry is None or entry.key != key:
+        jitter = _mesh_jitter(mesh, model, seed, epoch, stream, 0, count)
+    elif np.array_equal(params, entry.params):
+        return entry.folds
+    else:
+        jitter = entry.jitter
+    folds = _mesh_folds(mesh, params, model, jitter, count, True)
+    num_thetas = mesh.num_layers * (mesh.dim - 1)
+    if (1 + count) * (mesh.dim * mesh.dim + num_thetas) <= _KEEP_ELEMENTS:
+        for arr in (jitter, folds):
+            if arr is not None:
+                arr.flags.writeable = False
+        # One assignment: a concurrent reader sees the old entry or this.
+        _KEPT[stream] = _KeptFolds(key, jitter, params, folds)
+    return folds
 
 
 def _masked_compress(encode_matrix, amplitudes, keep: np.ndarray) -> np.ndarray:
@@ -379,9 +426,9 @@ def _masked_compress(encode_matrix, amplitudes, keep: np.ndarray) -> np.ndarray:
 
 
 def _realization_stats(
-    uc_prog,
+    uc,
     uc_params: np.ndarray,
-    ur_prog,
+    ur,
     ur_params: np.ndarray,
     keep: np.ndarray,
     amplitudes: np.ndarray,
@@ -390,11 +437,13 @@ def _realization_stats(
     epoch: int,
     lo: int,
     hi: int,
+    kept: bool = False,
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Exact (probabilities, fidelity, transmission) of realizations
     ``[lo, hi)``, in one stacked pass per block of :func:`_block_size`.
 
-    Each block folds each mesh once and makes one
+    Each block folds each mesh once (the first block of a ``kept`` pass,
+    which starts at 0, through :func:`_kept_folds`) and makes one
     :func:`channel_probabilities` call over its realizations.  The first
     block's fold row 0 is the clean mesh: its output, normalized per
     column (guarding collapse to zero), is the fidelity reference.  Every
@@ -403,27 +452,22 @@ def _realization_stats(
     range is split.
     """
 
-    def folds(prog, params, stream, start, stop, clean_row):
-        jitter = None
-        if model.theta_sigma > 0.0:
-            jitter = jitter_block(
-                prog.num_layers * (prog.dim - 1),
-                model.theta_sigma, seed, epoch, start, stop, stream,
-            )
-        return _mesh_folds(prog, params, model, jitter, stop - start, clean_row)
+    def folds(mesh, params, stream, start, stop, clean_row):
+        if kept and start == 0:
+            return _kept_folds(mesh, params, model, seed, epoch, stream, stop)
+        jitter = _mesh_jitter(mesh, model, seed, epoch, stream, start, stop)
+        return _mesh_folds(mesh, params, model, jitter, stop - start, clean_row)
 
     block = _block_size(
-        uc_prog.dim,
-        max(uc_prog.num_layers, ur_prog.num_layers),
-        amplitudes.shape[1],
+        uc.dim, max(uc.num_layers, ur.num_layers), amplitudes.shape[1]
     )
     out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     reference = None
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
         first = int(reference is None)
-        ucs = folds(uc_prog, uc_params, STREAM_UC, start, stop, first)
-        urs = folds(ur_prog, ur_params, STREAM_UR, start, stop, first)
+        ucs = folds(uc, uc_params, STREAM_UC, start, stop, first)
+        urs = folds(ur, ur_params, STREAM_UR, start, stop, first)
         phi = _masked_compress(ucs, amplitudes, keep)
         if reference is None:
             b_clean = urs[0] @ phi[0]
@@ -439,6 +483,8 @@ def _realization_stats(
 
 def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Worker task: realizations ``[lo, hi)`` of a trajectory sweep."""
+    from repro.parallel.reducer import _worker_network
+
     (
         uc_struct,
         uc_params,
@@ -453,9 +499,9 @@ def _trajectory_shard_task(payload) -> List[Tuple[np.ndarray, np.ndarray, np.nda
         hi,
     ) = payload
     return _realization_stats(
-        _program_for_struct(uc_struct),
+        _worker_network(uc_struct),
         uc_params,
-        _program_for_struct(ur_struct),
+        _worker_network(ur_struct),
         ur_params,
         keep,
         amplitudes,
@@ -496,14 +542,13 @@ def trajectory_forward(
     if amplitudes.ndim == 1:
         amplitudes = amplitudes.reshape(-1, 1)
     uc, ur = autoencoder.uc, autoencoder.ur
-    uc_prog = _program_for_struct(_network_struct(uc))
-    ur_prog = _program_for_struct(_network_struct(ur))
     uc_params = uc.get_flat_params()
     ur_params = ur.get_flat_params()
     keep = np.asarray(autoencoder.projection.keep, dtype=np.int64)
 
     per_realization: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     if pool is not None and pool.processes > 1 and K > 1:
+        from repro.parallel.reducer import _network_struct
         from repro.parallel.sharding import plan_shards
 
         shards = plan_shards(K, min(pool.processes, K))
@@ -527,9 +572,9 @@ def trajectory_forward(
             per_realization.extend(chunk)
     else:
         per_realization = _realization_stats(
-            uc_prog,
+            uc,
             uc_params,
-            ur_prog,
+            ur,
             ur_params,
             keep,
             amplitudes,
@@ -538,6 +583,7 @@ def trajectory_forward(
             int(epoch),
             0,
             K,
+            kept=True,
         )
 
     from repro.parallel.reducer import tree_reduce

@@ -147,6 +147,18 @@ def tree_reduce(values: Sequence):
 _WORKER_NETWORKS: dict = {}
 
 
+def _network_struct(network) -> Tuple[int, int, bool, bool]:
+    """The structure tuple a task carries for ``network``: everything
+    :func:`_worker_network` needs to rebuild it, and nothing it learns
+    from the parameters."""
+    return (
+        int(network.dim),
+        int(network.num_layers),
+        bool(network.descending),
+        bool(network.allow_phase),
+    )
+
+
 def _worker_network(
     struct: Tuple[int, int, bool, bool], params: Optional[np.ndarray] = None
 ):
@@ -426,12 +438,7 @@ class GradientReducer:
                 delta=delta,
                 engine=eng,
             )
-        struct = (
-            network.dim,
-            network.num_layers,
-            network.descending,
-            network.allow_phase,
-        )
+        struct = _network_struct(network)
         params = network.get_flat_params()
         keep = (
             None
