@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.api.spec import CodecSpec
 from repro.encoding.amplitude import decode_batch
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, ReproError, SerializationError
 from repro.network.autoencoder import AutoencoderOutput, QuantumAutoencoder
 from repro.training.loss import SquaredErrorLoss
 from repro.training.metrics import mse, paper_accuracy, pixel_accuracy
@@ -146,6 +146,28 @@ class CompressedBatch:
             codes=codes,
             squared_norms=np.asarray(results["squared_norms"]),
         )
+
+
+def _embedded_spec(data, ae: QuantumAutoencoder) -> CodecSpec:
+    """The spec a checkpoint embeds, checked against its header."""
+    try:
+        spec = CodecSpec.from_dict(data)
+    except ReproError as exc:
+        raise SerializationError(f"invalid embedded CodecSpec: {exc}") from exc
+    header = {
+        "dim": ae.dim,
+        "compressed_dim": ae.compressed_dim,
+        "compression_layers": ae.uc.num_layers,
+        "reconstruction_layers": ae.ur.num_layers,
+        "allow_phase": ae.uc.allow_phase,
+    }
+    for name, value in header.items():
+        if getattr(spec, name) != value:
+            raise SerializationError(
+                f"embedded CodecSpec has {name}={getattr(spec, name)!r} but "
+                f"the archive header has {value!r}"
+            )
+    return spec
 
 
 class Codec:
@@ -453,15 +475,24 @@ class Codec:
 
         Archives without an embedded spec (plain ``save_autoencoder``
         output, including every v1 file) get a spec synthesised from the
-        architecture header plus default execution knobs.
+        architecture header plus default execution knobs.  An embedded
+        spec that does not parse, or describes another architecture than
+        the header, raises :class:`~repro.exceptions.SerializationError`.
         """
         from repro.io.model_io import load_autoencoder_with_meta
 
         ae, meta = load_autoencoder_with_meta(path)
-        extra = meta.get("extra") or {}
+        extra = meta.get("extra")
+        if extra is None:
+            extra = {}
+        elif not isinstance(extra, dict):
+            raise SerializationError(
+                f"checkpoint 'extra' must be a JSON object, got "
+                f"{type(extra).__name__}"
+            )
         spec_dict = extra.get("spec")
         if spec_dict is not None:
-            spec = CodecSpec.from_dict(spec_dict)
+            spec = _embedded_spec(spec_dict, ae)
             # The archive header only stores the backend's registry name;
             # the spec keeps the full spelling (e.g. 'sharded:4'), so
             # restore any configuration the header spelling dropped.

@@ -4,9 +4,9 @@ Before this module existed the knobs of the paper's pipeline were split
 between two surfaces: the *network* knobs (``dim``, ``compressed_dim``,
 layer counts, ``allow_phase``, ``renormalize``, the projection) lived in
 ``QuantumAutoencoder``'s constructor, while the *execution* knobs
-(``backend``, ``grad_engine``, gradient method, optimizer, loss mode)
-lived in :class:`~repro.experiments.config.PaperConfig` and ``Trainer``
-keyword arguments.  ``CodecSpec`` unifies both into one frozen, hashable,
+(``backend``, gradient method, optimizer, loss mode) lived in
+:class:`~repro.experiments.config.PaperConfig` and ``Trainer`` keyword
+arguments.  ``CodecSpec`` unifies both into one frozen, hashable,
 JSON-round-trippable dataclass; :class:`~repro.api.codec.Codec` is
 configured by it, checkpoints embed it, and ``PaperConfig`` now builds its
 autoencoder and trainer *through* it (thin-layer delegation), so there is
@@ -15,8 +15,17 @@ exactly one code path from a description to a runnable pipeline.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Literal, Optional, Tuple
+from typing import (
+    Literal,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -29,6 +38,29 @@ __all__ = ["CodecSpec"]
 OptimizerName = Literal["gd", "momentum", "adam"]
 TargetName = Literal["pca", "restrict", "uniform"]
 LossMode = Literal["sum", "mean"]
+
+
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON ``value`` has the type of annotation
+    ``hint`` (a ``bool`` is no number here; an integer is a float)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(item, args[0]) for item in value
+        )
+    if origin is Literal:
+        hint = type(args[0])
+    if hint is bool:
+        return isinstance(value, (bool, np.bool_))
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, hint)
 
 
 @dataclass(frozen=True)
@@ -64,7 +96,6 @@ class CodecSpec:
 
     # -- execution / training ------------------------------------------
     backend: str = "loop"
-    grad_engine: str = "batched"
     gradient_method: str = "adjoint"
     optimizer: OptimizerName = "momentum"
     learning_rate: float = 0.01
@@ -202,13 +233,9 @@ class CodecSpec:
         # Registry-backed names validate against their single source of
         # truth; Projection re-checks index bounds.
         from repro.backends import validate_backend_name
-        from repro.training.gradients import (
-            validate_gradient_engine,
-            available_gradient_methods,
-        )
+        from repro.training.gradients import available_gradient_methods
 
         validate_backend_name(self.backend, NetworkConfigError)
-        validate_gradient_engine(self.grad_engine, NetworkConfigError)
         if self.gradient_method not in available_gradient_methods():
             raise NetworkConfigError(
                 f"unknown gradient method {self.gradient_method!r}; "
@@ -233,15 +260,41 @@ class CodecSpec:
         """Rebuild a spec from :meth:`to_dict` output.
 
         Unknown keys are rejected (a checkpoint from a newer format should
-        fail loudly, not half-load).
+        fail loudly, not half-load), and so is a value whose JSON type
+        does not fit its field.  ``grad_engine``, a removed field that
+        older checkpoints carry, is dropped when it holds one of the two
+        values it accepted (``"batched"``, ``"looped"``).
+
+        >>> CodecSpec.from_dict({"dim": "4"})
+        Traceback (most recent call last):
+            ...
+        repro.exceptions.NetworkConfigError: CodecSpec field 'dim' does \
+not accept '4'
         """
+        if not isinstance(data, dict):
+            raise NetworkConfigError(
+                f"a CodecSpec must be a JSON object, got "
+                f"{type(data).__name__}"
+            )
+        kwargs = dict(data)
+        legacy = kwargs.pop("grad_engine", "batched")
+        if legacy not in ("batched", "looped"):
+            raise NetworkConfigError(
+                f"unknown gradient engine {legacy!r}; checkpoints carried "
+                "'batched' or 'looped'"
+            )
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise NetworkConfigError(
                 f"unknown CodecSpec fields {sorted(unknown)}"
             )
-        kwargs = dict(data)
+        hints = get_type_hints(cls)
+        for name, value in kwargs.items():
+            if not _fits(value, hints[name]):
+                raise NetworkConfigError(
+                    f"CodecSpec field {name!r} does not accept {value!r}"
+                )
         if kwargs.get("projection") is not None:
             kwargs["projection"] = tuple(kwargs["projection"])
         return cls(**kwargs)
@@ -306,7 +359,6 @@ class CodecSpec:
             learning_rate=self.learning_rate,
             gradient_method=self.gradient_method,
             backend=self.backend,
-            grad_engine=self.grad_engine,
             optimizer_factory=self.build_optimizer,
             trace_sample=trace_sample,
             record_theta_every=record_theta_every,
@@ -346,7 +398,6 @@ class CodecSpec:
             reconstruction_layers=config.reconstruction_layers,
             allow_phase=config.allow_phase,
             backend=config.backend,
-            grad_engine=config.grad_engine,
             gradient_method=config.gradient_method,
             optimizer=config.optimizer,
             learning_rate=config.learning_rate,

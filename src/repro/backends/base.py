@@ -34,6 +34,7 @@ no argument reject the suffix.
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Type, Union
 
 import numpy as np
@@ -70,7 +71,7 @@ class Backend(abc.ABC):
     supports_cached_gradients: bool = False
 
     def __init__(self) -> None:
-        self._network: Optional["QuantumNetwork"] = None
+        self._network: Optional["weakref.ref[QuantumNetwork]"] = None
         self._program: Optional[GateProgram] = None
 
     # ------------------------------------------------------------------
@@ -92,21 +93,38 @@ class Backend(abc.ABC):
         >>> backend.network is net
         True
         """
-        if self._network is not None and self._network is not network:
+        if self._network is not None and self._network() is not network:
             raise BackendError(
                 f"backend {self.name!r} is already bound; backends are "
                 "per-network — construct a new instance (or pass the "
                 "backend name) instead of sharing one"
             )
-        self._network = network
+        # Weak: the network owns its backend, and a strong reference back
+        # would leave every network (and its fold caches) to the cyclic
+        # garbage collector.
+        self._network = weakref.ref(network)
         self._program = compile_program(network)
         return self
 
     @property
     def network(self) -> "QuantumNetwork":
-        if self._network is None:
+        network = None if self._network is None else self._network()
+        if network is None:
             raise BackendError(f"backend {self.name!r} is not bound")
-        return self._network
+        return network
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the network itself, so a deep copy of a
+        # network binds the copied backend to the copied network.
+        state = self.__dict__.copy()
+        if self._network is not None:
+            state["_network"] = self._network()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._network is not None:
+            self._network = weakref.ref(self._network)
 
     @property
     def program(self) -> GateProgram:

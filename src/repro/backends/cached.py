@@ -40,9 +40,9 @@ network's backend advertises ``supports_cached_gradients`` (the exact
 ``adjoint`` method needs no suffix columns: its sweep pulls the adjoint
 back a layer at a time, see :func:`repro.training.gradients.adjoint_sweep`).
 
-**Batched engine.**  The per-parameter products above are still a Python
-loop over ``P`` parameters.  The batched methods
-(:meth:`PrefixSuffixWorkspace.perturbed_outputs`,
+**Batched contractions.**  Run one parameter at a time, the products
+above would still be a Python loop over ``P`` parameters.  The workspace
+methods (:meth:`PrefixSuffixWorkspace.perturbed_outputs`,
 :meth:`PrefixSuffixWorkspace.derivative_gradients`) stack the ``(2 x 2)``
 blocks of many parameters into ``(P, 2, 2)`` arrays and contract them
 against the gathered prefix rows ``(P, 2, M)`` and suffix columns
@@ -55,7 +55,6 @@ keep peak memory at ``O(N^2 M)`` per chunk.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
@@ -63,7 +62,6 @@ import numpy as np
 from repro.backends.fold import MeshLayers, mesh_layers
 from repro.backends.program import GateProgram
 from repro.exceptions import BackendError, GradientError
-from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.quantum_network import QuantumNetwork
@@ -160,8 +158,8 @@ class PrefixSuffixWorkspace:
     The workspace is valid for exactly one ``(parameters, inputs)`` pair;
     build a fresh one per gradient evaluation.  The three artefacts are
     built with ``O(num_layers)`` GEMMs plus ``O(N)`` short vector
-    recurrences (see :meth:`_build_vectorized`); :meth:`_build_reference`
-    is the per-gate sweep the tests compare that construction against.
+    recurrences (see :meth:`_build_vectorized`); the tests compare that
+    construction against a per-gate traced sweep.
 
     Examples
     --------
@@ -175,7 +173,10 @@ class PrefixSuffixWorkspace:
     >>> stack = ws.perturbed_outputs(np.arange(net.num_parameters), 1e-6)
     >>> stack.shape                       # one perturbed output per theta
     (6, 4, 4)
-    >>> bool(np.allclose(stack[2], ws.perturbed_output(2, 1e-6)))
+    >>> params = net.get_flat_params()
+    >>> params[2] += 1e-6
+    >>> net.set_flat_params(params)
+    >>> bool(np.allclose(stack[2], net.forward(np.eye(4))))
     True
     >>> [chunk.tolist() for chunk in ws.layer_param_chunks()]
     [[0, 1, 2], [3, 4, 5]]
@@ -208,56 +209,6 @@ class PrefixSuffixWorkspace:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build_reference(self, arr: np.ndarray) -> None:
-        """Per-gate traced forward + reverse sweep: the test oracle for
-        :meth:`_build_vectorized` (works for any gate order)."""
-        program, dtype = self.program, self.dtype
-        thetas, alphas = self._thetas, self._alphas
-        n, m = arr.shape
-        total = program.num_gates
-
-        # Traced forward: record the two prefix rows seen by every gate,
-        # then apply the gate with the reference kernel (bit-identical to
-        # the loop backend's forward pass).
-        row_tape = np.empty((total, 2, m), dtype=dtype)
-        state = np.array(arr, dtype=dtype, copy=True)
-        modes = program.modes
-        theta_index = program.theta_index
-        for g in range(total):
-            k = int(modes[g])
-            i = theta_index[g]
-            row_tape[g, 0] = state[k]
-            row_tape[g, 1] = state[k + 1]
-            apply_givens_batch(
-                state, k, float(thetas[i]), alpha=float(alphas[i])
-            )
-        self.row_tape = row_tape
-        self.base_output = state
-
-        # Reverse sweep: S starts as the identity (suffix of the last gate)
-        # and folds gates in right-to-left, S <- S @ G_g; only the two
-        # columns touching the gate's modes are ever read.
-        suffix_cols = np.empty((total, n, 2), dtype=dtype)
-        s_mat = np.eye(n, dtype=dtype)
-        for g in range(total - 1, -1, -1):
-            k = int(modes[g])
-            suffix_cols[g, :, 0] = s_mat[:, k]
-            suffix_cols[g, :, 1] = s_mat[:, k + 1]
-            i = theta_index[g]
-            c = math.cos(float(thetas[i]))
-            s = math.sin(float(thetas[i]))
-            alpha = float(alphas[i])
-            col_k = s_mat[:, k].copy()
-            col_k1 = s_mat[:, k + 1]
-            if alpha == 0.0:
-                # (S @ G)[:, k] = c S[:,k] + s S[:,k+1]
-                s_mat[:, k] = c * col_k + s * col_k1
-            else:
-                phase = complex(math.cos(alpha), math.sin(alpha))
-                s_mat[:, k] = phase * (c * col_k + s * col_k1)
-            s_mat[:, k + 1] = -s * col_k + c * col_k1
-        self.suffix_cols = suffix_cols
-
     def _build_vectorized(self, arr: np.ndarray, mesh: MeshLayers) -> None:
         """Layer-batched construction from the mesh's chain recurrence.
 
@@ -335,66 +286,14 @@ class PrefixSuffixWorkspace:
         self.suffix_cols = suffix_cols
 
     # ------------------------------------------------------------------
-    def _param_gate(self, param_index: int) -> Tuple[int, int, bool]:
-        """Resolve a flat parameter index to ``(gate, theta_index, wrt_alpha)``."""
-        if not 0 <= param_index < self.num_parameters:
-            raise GradientError(
-                f"parameter index {param_index} out of range "
-                f"[0, {self.num_parameters})"
-            )
-        wrt_alpha = param_index >= self.num_thetas
-        i = param_index - self.num_thetas if wrt_alpha else param_index
-        return int(self._gate_of_param[param_index]), i, wrt_alpha
-
-    def _gate(self, theta_index: int) -> BeamsplitterGate:
-        """The gate holding parameter slot ``theta_index`` (mode is unused
-        here — only the ``2 x 2`` algebra of :class:`BeamsplitterGate`)."""
-        return BeamsplitterGate(
-            0, float(self._thetas[theta_index]), float(self._alphas[theta_index])
-        )
-
-    def output_with_block(self, gate: int, block: np.ndarray) -> np.ndarray:
-        """Network output with gate ``gate``'s ``2 x 2`` block replaced.
-
-        Computes ``U X + S (block - T) (P X)`` — exact up to rounding, in
-        ``O(N M)``.
-        """
-        i = int(self.program.theta_index[gate])
-        d = (block - self._gate(i).matrix2()) @ self.row_tape[gate]
-        return self.base_output + self.suffix_cols[gate] @ d
-
-    def perturbed_output(self, param_index: int, delta: float) -> np.ndarray:
-        """Output with flat parameter ``param_index`` shifted by ``delta``."""
-        gate, i, wrt_alpha = self._param_gate(param_index)
-        base = self._gate(i)
-        if wrt_alpha:
-            block = BeamsplitterGate(0, base.theta, base.alpha + delta).matrix2()
-        else:
-            block = base.with_theta(base.theta + delta).matrix2()
-        return self.output_with_block(gate, block)
-
-    def derivative_output(self, param_index: int) -> np.ndarray:
-        """Exact derivative-gate output ``S_i (dG_i) (P_i X)``.
-
-        Equals the full forward pass with gate ``i`` replaced by its
-        parameter derivative (all other rows of the embedded derivative
-        are zero, so no base term appears).
-        """
-        gate, i, wrt_alpha = self._param_gate(param_index)
-        base = self._gate(i)
-        dblock = (
-            base.dmatrix2_dalpha() if wrt_alpha else base.dmatrix2_dtheta()
-        )
-        d = dblock @ self.row_tape[gate]
-        return self.suffix_cols[gate] @ d
-
-    # ------------------------------------------------------------------
-    # batched engine: many parameters per einsum
+    # many parameters per einsum
     # ------------------------------------------------------------------
     def _resolve_many(
         self, param_indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`_param_gate`: ``(idx, gates, theta_idx, wrt_alpha)``."""
+        """Resolve flat parameter indices to ``(idx, gates, theta_idx,
+        wrt_alpha)``: the gate holding each parameter, its slot in the
+        theta/alpha arrays, and whether it is a phase."""
         idx = np.atleast_1d(np.asarray(param_indices, dtype=np.int64))
         if idx.ndim != 1:
             raise GradientError(
@@ -459,8 +358,8 @@ class PrefixSuffixWorkspace:
     ) -> np.ndarray:
         """Stacked outputs with each listed parameter shifted by ``delta``.
 
-        Returns a ``(P, N, M)`` array whose slice ``p`` equals
-        :meth:`perturbed_output` for ``param_indices[p]`` — computed as two
+        Returns a ``(P, N, M)`` array whose slice ``p`` is the network
+        output with parameter ``param_indices[p]`` shifted — computed as two
         batched contractions over the stacked ``(2 x 2)`` block
         differences, the gathered prefix rows and the gathered suffix
         columns.
@@ -499,8 +398,10 @@ class PrefixSuffixWorkspace:
     def derivative_outputs(self, param_indices: np.ndarray) -> np.ndarray:
         """Stacked exact derivative-gate outputs, shape ``(P, N, M)``.
 
-        Slice ``p`` equals :meth:`derivative_output` for
-        ``param_indices[p]``.
+        Slice ``p`` is ``S_i (dG_i) (P_i X)`` for ``i = param_indices[p]``:
+        the forward pass with gate ``i`` replaced by its parameter
+        derivative (all other rows of the embedded derivative are zero, so
+        no base term appears).
         """
         _, gates, ti, wrt_alpha = self._resolve_many(param_indices)
         d = np.matmul(

@@ -52,10 +52,6 @@ import numpy as np
 from repro.backends import available_backends, validate_backend_name
 from repro.exceptions import ReproError, SerializationError
 from repro.experiments import ablations
-from repro.training.gradients import (
-    DEFAULT_GRADIENT_ENGINE,
-    available_gradient_engines,
-)
 from repro.experiments.config import PaperConfig
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -172,14 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
             "over K worker\n"
             "                 processes (shared-memory column shards; see "
             "docs/sharding.md).\n"
-            "  --grad-engine  how gradients are driven: 'batched' (default) "
-            "stacks each\n"
-            "                 layer's parameter perturbations into single "
-            "einsums and runs\n"
-            "                 the adjoint sweep vectorised;\n"
-            "                 'looped' is the one-parameter/one-gate "
-            "bit-exact reference.\n"
-            "                 See docs/gradients.md.\n"
         ),
     )
     parser.add_argument(
@@ -209,16 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "'fused' caches the network unitary and prefix/suffix "
                 "gradient products (fast), 'sharded[:K]' scatters wide "
                 "batches over K worker processes"
-            ),
-        )
-        p.add_argument(
-            "--grad-engine",
-            choices=available_gradient_engines(),
-            default=DEFAULT_GRADIENT_ENGINE,
-            help=(
-                "gradient workspace drive: 'batched' stacks a layer's "
-                "perturbations into one einsum, 'looped' is the "
-                "per-parameter reference (see epilog)"
             ),
         )
         p.add_argument("--output", type=str, default=None,
@@ -418,7 +396,6 @@ def _config_from_args(args: argparse.Namespace) -> PaperConfig:
         optimizer=args.optimizer,
         gradient_method=args.gradient,
         backend=args.backend,
-        grad_engine=args.grad_engine,
     )
 
 
@@ -461,7 +438,6 @@ def _run_train(args: argparse.Namespace) -> dict:
         renormalize=args.renormalize,
         allow_phase=args.allow_phase,
         backend=args.backend,
-        grad_engine=args.grad_engine,
         gradient_method=args.gradient,
         optimizer=args.optimizer,
         iterations=args.iterations,

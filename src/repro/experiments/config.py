@@ -61,7 +61,6 @@ class PaperConfig:
     seed: int = 2024
     gradient_method: str = "adjoint"   # "fd" is the paper-faithful choice
     backend: str = "loop"              # execution backend (repro.backends)
-    grad_engine: str = "batched"       # workspace drive: batched | looped
     optimizer: OptimizerName = "momentum"
     momentum: float = 0.9
     target: TargetName = "pca"
@@ -93,10 +92,8 @@ class PaperConfig:
             )
         from repro.backends import validate_backend_name
         from repro.parallel.reducer import validate_parallel_spec
-        from repro.training.gradients import validate_gradient_engine
 
         validate_backend_name(self.backend, ExperimentError)
-        validate_gradient_engine(self.grad_engine, ExperimentError)
         object.__setattr__(
             self,
             "parallel",

@@ -12,10 +12,9 @@ ravel is the *flat parameter vector* layout of `get_flat_params` /
 `set_flat_params`, which the optimizers and all four gradient methods use.
 Caches (the ``fused`` fold, the gradient workspaces, pool workers) compare
 that live array with their snapshot, so a direct ``layer.thetas`` edit is
-seen without a concatenation.  A traced forward pass (`forward_trace`)
-records, for every gate, the two state rows it consumed — the minimal tape
-needed for exact reverse-mode (adjoint) differentiation at ``O(1)`` extra
-memory per gate.
+seen without a concatenation.  The exact adjoint gradient needs no traced
+forward pass: it reads the layer fold of that array
+(:func:`repro.backends.fold.mesh_layers`).
 
 Execution is delegated to a pluggable backend (:mod:`repro.backends`):
 ``"loop"`` (the bit-exact per-gate reference), ``"fused"`` (cached
@@ -26,42 +25,17 @@ processes).  Select at construction or via :meth:`set_backend`.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backends import Backend, make_backend
 from repro.exceptions import DimensionError, NetworkConfigError
 from repro.network.layers import GateLayer
-from repro.simulator.gates import apply_givens_batch
 from repro.simulator.state import StateBatch
 from repro.utils.rng import ensure_rng
 
-__all__ = ["QuantumNetwork", "ForwardTrace"]
-
-
-class ForwardTrace(NamedTuple):
-    """Tape recorded by :meth:`QuantumNetwork.forward_trace`.
-
-    Attributes
-    ----------
-    output:
-        The ``(N, M)`` output of the forward pass.
-    row_tape:
-        ``(num_gates_total, 2, M)`` array; entry ``g`` holds rows
-        ``(k, k+1)`` of the state *immediately before* gate ``g`` was
-        applied (gates indexed in application order).
-    gate_index:
-        ``(num_gates_total, 2)`` int array of ``(layer, theta_index)`` per
-        applied gate, in application order.
-    modes:
-        ``(num_gates_total,)`` int array of the mode ``k`` of each gate.
-    """
-
-    output: np.ndarray
-    row_tape: np.ndarray
-    gate_index: np.ndarray
-    modes: np.ndarray
+__all__ = ["QuantumNetwork"]
 
 
 class QuantumNetwork:
@@ -245,42 +219,6 @@ class QuantumNetwork:
         )
         self.forward_inplace(out, inverse=inverse)
         return out.ravel() if squeeze else out
-
-    def forward_trace(self, data: np.ndarray) -> ForwardTrace:
-        """Forward pass recording the two-row tape for adjoint gradients.
-
-        The tape dtype follows :meth:`result_dtype`: real (paper setting)
-        networks on real inputs record a float64 tape, phase-bearing
-        (``allow_phase``) networks and complex inputs a complex128 one —
-        the adjoint gradient consumes either (pulling back through
-        ``G^dagger`` in the complex case).
-        """
-        self._check_dim(data)
-        dtype = self.result_dtype(data)
-        m = data.shape[1]
-        total = self.num_thetas
-        row_tape = np.empty((total, 2, m), dtype=dtype)
-        gate_index = np.empty((total, 2), dtype=np.int64)
-        modes = np.empty(total, dtype=np.int64)
-        out = np.array(data, dtype=dtype, copy=True)
-        g = 0
-        for p, layer in enumerate(self.layers):
-            alphas = layer.alphas
-            for k in layer.mode_sequence():
-                k = int(k)
-                row_tape[g, 0] = out[k]
-                row_tape[g, 1] = out[k + 1]
-                gate_index[g, 0] = p
-                gate_index[g, 1] = k
-                modes[g] = k
-                apply_givens_batch(
-                    out,
-                    k,
-                    float(layer.thetas[k]),
-                    alpha=0.0 if alphas is None else float(alphas[k]),
-                )
-                g += 1
-        return ForwardTrace(out, row_tape, gate_index, modes)
 
     # ------------------------------------------------------------------
     # structure

@@ -20,12 +20,10 @@ of lossy gates — so this is the jitter-averaged gradient, not the exact
 gradient of the evaluated lossy loss.  A model with ``theta_sigma == 0``
 reduces this step to the noise-blind one.
 
-With the exact ``adjoint`` method and the ``batched`` engine all ``K``
-realizations go through one
+With the exact ``adjoint`` method all ``K`` realizations go through one
 :func:`~repro.training.gradients.adjoint_sweep` call per mesh — in
 process, or once per pool shard on its slice of ``[0, K)``; the other
-methods and the ``looped`` engine set each realization's parameters in
-turn.
+methods set each realization's parameters in turn.
 
 Reproducibility contract (the determinism gate in
 ``benchmarks/bench_noise.py`` and ``tests/noise``): realization ``r`` of
@@ -82,7 +80,6 @@ def _realization_pairs(
     projection,
     method: str,
     delta: Optional[float],
-    engine: Optional[str],
     sigma: float,
     seed: int,
     epoch: int,
@@ -95,25 +92,18 @@ def _realization_pairs(
 
     Each realization evaluates the *full* batch, so the values depend only
     on the realization index — never on the shard boundaries.  The exact
-    ``adjoint`` method with the ``batched`` engine runs all of them in one
-    :func:`~repro.training.gradients.adjoint_sweep`; the other methods
-    and the ``looped`` engine set each realization's parameters in turn.
+    ``adjoint`` method runs all of them in one
+    :func:`~repro.training.gradients.adjoint_sweep`; the other methods set
+    each realization's parameters in turn.
     """
-    from repro.training.gradients import (
-        adjoint_sweep,
-        loss_and_gradient,
-        validate_gradient_engine,
-    )
+    from repro.training.gradients import adjoint_sweep, loss_and_gradient
 
     eps = np.zeros((hi - lo, params.shape[0]), dtype=np.float64)
     eps[:, : network.num_thetas] = jitter_block(
         network.num_thetas, sigma, seed, epoch, lo, hi, stream
     )
     sets = params + eps
-    if (
-        str(method).lower() == "adjoint"
-        and validate_gradient_engine(engine) == "batched"
-    ):
+    if str(method).lower() == "adjoint":
         values, grads = adjoint_sweep(
             network, sets, inputs, targets, loss=loss, projection=projection
         )
@@ -131,7 +121,6 @@ def _realization_pairs(
                     projection=projection,
                     method=method,
                     delta=delta,
-                    engine=engine,
                 )
             )
     finally:
@@ -170,7 +159,6 @@ def noisy_loss_and_gradient(
     projection=None,
     method: str = "adjoint",
     delta: Optional[float] = None,
-    engine: Optional[str] = None,
     reducer=None,
 ) -> Tuple[float, np.ndarray]:
     """``(E_r[loss], E_r[grad])`` over ``K = trajectories`` realizations.
@@ -200,7 +188,6 @@ def noisy_loss_and_gradient(
                 projection=projection,
                 method=method,
                 delta=delta,
-                engine=engine,
             )
         return loss_and_gradient(
             network,
@@ -210,14 +197,12 @@ def noisy_loss_and_gradient(
             projection=projection,
             method=method,
             delta=delta,
-            engine=engine,
         )
 
     params = network.get_flat_params()
     args = (
         method,
         delta,
-        engine,
         model.theta_sigma,
         int(seed),
         int(epoch),

@@ -192,9 +192,7 @@ def _worker_projection(dim: int, keep: Optional[Tuple[int, ...]]):
 
 def _batch_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     """One column shard's ``(loss, grad)`` through the full engine stack."""
-    (struct, params, inputs, targets, loss, keep, method, delta, engine) = (
-        payload
-    )
+    struct, params, inputs, targets, loss, keep, method, delta = payload
     from repro.training.gradients import loss_and_gradient
 
     net = _worker_network(struct, params)
@@ -206,31 +204,20 @@ def _batch_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
         projection=_worker_projection(struct[0], keep),
         method=method,
         delta=delta,
-        engine=engine,
     )
 
 
 def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     """Full-batch base loss plus the gradient slice ``[lo, hi)``.
 
-    Mirrors the single-process workspace drives parameter-by-parameter
-    (same chunking, same ``value_many`` reductions, same stencil), so
-    concatenating the slices reproduces the one-process gradient at
-    rounding level.
+    Mirrors the single-process workspace drive on the parameters of
+    ``[lo, hi)`` (same chunking, same ``value_many`` reductions, same
+    stencil), so concatenating the slices reproduces the one-process
+    gradient at rounding level.
     """
-    (
-        struct,
-        params,
-        inputs,
-        targets,
-        loss,
-        keep,
-        method,
-        delta,
-        engine,
-        lo,
-        hi,
-    ) = payload
+    (struct, params, inputs, targets, loss, keep, method, delta, lo, hi) = (
+        payload
+    )
     from repro.training.gradients import (
         _project_and_eval,
         _workspace_loss_and_adjoint,
@@ -252,19 +239,6 @@ def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     base = _project_and_eval(
         ws.base_output.copy(), targets, loss, projection
     )
-    if engine == "looped":
-        for i in range(lo, hi):
-            plus = _project_and_eval(
-                ws.perturbed_output(i, delta), targets, loss, projection
-            )
-            if central:
-                minus = _project_and_eval(
-                    ws.perturbed_output(i, -delta), targets, loss, projection
-                )
-                grad[i - lo] = (plus - minus) / (2.0 * delta)
-            else:
-                grad[i - lo] = (plus - base) / delta
-        return base, grad
     for idx in ws.param_chunks():
         sub = idx[(idx >= lo) & (idx < hi)]
         if not sub.size:
@@ -380,7 +354,6 @@ class GradientReducer:
         projection=None,
         method: str = "adjoint",
         delta: Optional[float] = None,
-        engine: Optional[str] = None,
         shard: Optional[str] = None,
     ) -> Tuple[float, np.ndarray]:
         """Parallel ``(loss, dL/dparams)``; same contract as the
@@ -396,7 +369,6 @@ class GradientReducer:
             _DEFAULT_DELTAS,
             available_gradient_methods,
             loss_and_gradient,
-            validate_gradient_engine,
         )
         from repro.training.loss import SquaredErrorLoss
 
@@ -418,7 +390,6 @@ class GradientReducer:
             )
         if loss is None:
             loss = SquaredErrorLoss(reduction="mean")
-        eng = validate_gradient_engine(engine)
         arr = np.ascontiguousarray(inputs)
         tgt = np.ascontiguousarray(targets)
         num_columns = arr.shape[1] if arr.ndim == 2 else 0
@@ -436,7 +407,6 @@ class GradientReducer:
                 projection=projection,
                 method=key,
                 delta=delta,
-                engine=eng,
             )
         struct = _network_struct(network)
         params = network.get_flat_params()
@@ -450,8 +420,8 @@ class GradientReducer:
                 _DEFAULT_DELTAS[key] if delta is None else float(delta)
             )
             payloads = [
-                (struct, params, arr, tgt, loss, keep, key, step, eng,
-                 s.start, s.stop)
+                (struct, params, arr, tgt, loss, keep, key, step, s.start,
+                 s.stop)
                 for s in shards
             ]
             results = self.pool.map(_param_shard_task, payloads)
@@ -463,7 +433,7 @@ class GradientReducer:
             (struct, params,
              np.ascontiguousarray(arr[:, s.slice]),
              np.ascontiguousarray(tgt[:, s.slice]),
-             loss, keep, key, delta, eng)
+             loss, keep, key, delta)
             for s in shards
         ]
         results = self.pool.map(_batch_shard_task, payloads)
@@ -492,7 +462,6 @@ class GradientReducer:
         projection=None,
         method: str = "adjoint",
         delta: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[float, np.ndarray]:
         """Noise-averaged ``(loss, grad)``: realizations sharded over the pool.
 
@@ -520,6 +489,5 @@ class GradientReducer:
             projection=projection,
             method=method,
             delta=delta,
-            engine=engine,
             reducer=self,
         )

@@ -25,10 +25,8 @@ from repro.training.loss import (
     reconstruction_loss,
 )
 from repro.training.gradients import (
-    GradientEngine,
     GradientMethod,
     loss_and_gradient,
-    available_gradient_engines,
     available_gradient_methods,
 )
 from repro.training.optimizers import (
@@ -68,10 +66,8 @@ __all__ = [
     "FidelityLoss",
     "compression_loss",
     "reconstruction_loss",
-    "GradientEngine",
     "GradientMethod",
     "loss_and_gradient",
-    "available_gradient_engines",
     "available_gradient_methods",
     "Optimizer",
     "GradientDescent",

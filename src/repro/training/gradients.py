@@ -1,4 +1,4 @@
-"""Gradient engines for quantum-network training.
+"""Gradient methods for quantum-network training.
 
 Four interchangeable methods compute ``(loss, dL/dparams)`` for a network
 output ``P1 U(params) X`` (compression) or ``U(params) X`` (reconstruction)
@@ -18,57 +18,34 @@ against target amplitudes:
     ``dG/dtheta = G(theta + pi/2)`` restricted to the 2x2 block and zero
     elsewhere).  Exact to float64; cost ``num_params + 1`` passes.
 ``"adjoint"``
-    Exact reverse-mode: one traced forward pass + one backward sweep for
-    *all* parameters.  This is the fast path (``O(P)`` total gate work
-    instead of ``O(P^2)``) and is bit-identical to ``"derivative"`` up
-    to rounding.  Supports complex (``allow_phase``) networks: the sweep
-    pulls the adjoint back through ``G^dagger`` and reads off both the
-    ``theta`` and ``alpha`` gradients from the same tape.  By default
-    (``engine="batched"``) the sweep runs over *layer* adjoint states —
-    one GEMM per layer each way plus in-layer recurrences, for ``K``
-    parameter sets at once (:func:`adjoint_sweep`) — on any backend;
-    the per-gate Python walk over :meth:`QuantumNetwork.forward_trace`
-    remains as the ``engine="looped"`` reference
-    (``benchmarks/bench_gradients.py`` gates the sweep at >= 3x over
-    it).
+    Exact reverse-mode: one forward chain + one backward sweep for *all*
+    parameters, over *layer* adjoint states — one GEMM per layer each way
+    plus in-layer recurrences, for ``K`` parameter sets at once
+    (:func:`adjoint_sweep`) — on any backend.  Agrees with
+    ``"derivative"`` to rounding.  Supports complex (``allow_phase``)
+    networks: the sweep pulls the adjoint back through ``G^dagger`` and
+    reads off both the ``theta`` and ``alpha`` gradients from the same
+    tapes.
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
 
 **Backend acceleration.**  When the network's execution backend advertises
 ``supports_cached_gradients`` (the ``"fused"`` backend does), the ``fd``,
-``central`` and ``derivative`` methods route each per-parameter pass
-through a :class:`~repro.backends.cached.PrefixSuffixWorkspace`: perturbing
-parameter ``i`` recomputes only ``suffix_i @ G_i' @ prefix_i`` instead of
-the whole circuit, dropping the per-gradient cost from ``O(P^2 M)`` gate
-work to ``O(P N (N + M))``.  The cached path never mutates the network's
-parameters and agrees with the re-execution path up to the method's own
-rounding floor (exactly for ``derivative``; within the finite-difference
-cancellation noise ``~ulp(loss)/delta`` for ``fd``/``central``).  The
-``"loop"`` backend always takes the bit-exact re-execution path.
-
-**Engines.**  The workspace-backed methods come in two drive modes,
-selected by ``engine`` (CLI ``--grad-engine``):
-
-``"batched"`` (default)
-    Stacks all of a layer's parameter perturbations into single einsums
-    over the cached prefix/suffix arrays
-    (:meth:`PrefixSuffixWorkspace.perturbed_outputs` /
-    :meth:`~repro.backends.cached.PrefixSuffixWorkspace.derivative_gradients`)
-    and scores them with one vectorised :meth:`Loss.value_many` call —
-    ``O(num_layers)`` batched contractions per gradient.
-``"looped"``
-    The reference drive: one parameter at a time through the same
-    workspace, and the per-gate tape walk for ``adjoint``.  Bit-exact
-    anchor for the batched path; agreement is ``<= 1e-8`` for every
-    method (``benchmarks/bench_gradients.py`` gates this plus ``>= 3x``
-    speedups at the paper's configuration).
-
-The engine choice selects the drive for workspace-backed evaluations and
-for the adjoint (the layer-level sweep vs the per-gate reference walk);
-only the re-execution fallback of ``fd``/``central``/``derivative``
-ignores it.  See ``docs/gradients.md`` for the full method x backend x
-engine matrix.
+``central`` and ``derivative`` methods run on a
+:class:`~repro.backends.cached.PrefixSuffixWorkspace`: perturbing
+parameter ``i`` changes only ``suffix_i @ G_i' @ prefix_i``, and the
+workspace stacks all of a layer's perturbations into single einsums
+(:meth:`~repro.backends.cached.PrefixSuffixWorkspace.perturbed_outputs` /
+:meth:`~repro.backends.cached.PrefixSuffixWorkspace.derivative_gradients`)
+scored by one vectorised :meth:`Loss.value_many` call —
+``O(num_layers)`` batched contractions per gradient instead of ``O(P^2)``
+gate work.  The cached path never mutates the network's parameters and
+agrees with the re-execution path up to the method's own rounding floor
+(exactly for ``derivative``; within the finite-difference cancellation
+noise ``~ulp(loss)/delta`` for ``fd``/``central``).  The ``"loop"``
+backend always takes the bit-exact re-execution path.  See
+``docs/gradients.md`` for the method x backend matrix.
 """
 
 from __future__ import annotations
@@ -90,12 +67,8 @@ from repro.training.loss import Loss, SquaredErrorLoss
 __all__ = [
     "adjoint_sweep",
     "GradientMethod",
-    "GradientEngine",
     "loss_and_gradient",
     "available_gradient_methods",
-    "available_gradient_engines",
-    "validate_gradient_engine",
-    "DEFAULT_GRADIENT_ENGINE",
     "PAPER_DELTA",
 ]
 
@@ -103,14 +76,8 @@ __all__ = [
 PAPER_DELTA: float = 1e-8
 
 GradientMethod = str
-GradientEngine = str
 
 GradFn = Callable[..., Tuple[float, np.ndarray]]
-
-_ENGINES = ("batched", "looped")
-
-#: Engine used when ``engine=None``: the layer-batched einsum drive.
-DEFAULT_GRADIENT_ENGINE: GradientEngine = "batched"
 
 _log = logging.getLogger(__name__)
 
@@ -126,30 +93,6 @@ class _TapeArena(threading.local):
 _ARENA = _TapeArena()
 
 _TAPE_NAMES = ("xs", "mus", "rows", "adjoints")
-
-
-def available_gradient_engines() -> list[str]:
-    """Engine names accepted by :func:`loss_and_gradient` (``engine=...``)."""
-    return sorted(_ENGINES)
-
-
-def validate_gradient_engine(
-    name: Optional[str], error_cls: type = GradientError
-) -> GradientEngine:
-    """Normalise and check an engine name (``None`` -> the default).
-
-    The single source of truth for trainer/config/CLI-level validation;
-    higher layers pass their own ``error_cls``.
-    """
-    if name is None:
-        return DEFAULT_GRADIENT_ENGINE
-    key = str(name).lower()
-    if key not in _ENGINES:
-        raise error_cls(
-            f"unknown gradient engine {name!r}; available: "
-            f"{available_gradient_engines()}"
-        )
-    return key
 
 
 def _checked_problem(
@@ -220,32 +163,6 @@ def _project_and_eval(
     return loss.value(out, targets)
 
 
-def _looped_difference_grad(
-    ws,
-    num_params: int,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-    delta: float,
-    central: bool,
-) -> Tuple[float, np.ndarray]:
-    """Workspace-backed stencil, one parameter at a time (the reference)."""
-    base = _project_and_eval(ws.base_output.copy(), targets, loss, projection)
-    grad = np.empty(num_params)
-    for i in range(num_params):
-        plus = _project_and_eval(
-            ws.perturbed_output(i, delta), targets, loss, projection
-        )
-        if central:
-            minus = _project_and_eval(
-                ws.perturbed_output(i, -delta), targets, loss, projection
-            )
-            grad[i] = (plus - minus) / (2.0 * delta)
-        else:
-            grad[i] = (plus - base) / delta
-    return base, grad
-
-
 def _batched_difference_grad(
     ws,
     num_params: int,
@@ -283,24 +200,6 @@ def _batched_difference_grad(
     return base, grad
 
 
-def _difference_grad(
-    ws,
-    engine: GradientEngine,
-    num_params: int,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-    delta: float,
-    central: bool,
-) -> Tuple[float, np.ndarray]:
-    fn = (
-        _batched_difference_grad
-        if engine == "batched"
-        else _looped_difference_grad
-    )
-    return fn(ws, num_params, targets, loss, projection, delta, central)
-
-
 def _loss_and_grad_fd(
     network: QuantumNetwork,
     inputs: np.ndarray,
@@ -308,14 +207,13 @@ def _loss_and_grad_fd(
     loss: Loss,
     projection: Optional[Projection],
     delta: float,
-    engine: GradientEngine,
 ) -> Tuple[float, np.ndarray]:
     """Forward finite differences (Eq. 8 of the paper)."""
     ws = _workspace_or_none(network, inputs)
     if ws is not None:
-        return _difference_grad(
-            ws, engine, network.num_parameters, targets, loss, projection,
-            delta, central=False,
+        return _batched_difference_grad(
+            ws, network.num_parameters, targets, loss, projection, delta,
+            central=False,
         )
     params = network.get_flat_params()
     base = _evaluate(network, inputs, targets, loss, projection)
@@ -341,14 +239,13 @@ def _loss_and_grad_central(
     loss: Loss,
     projection: Optional[Projection],
     delta: float,
-    engine: GradientEngine,
 ) -> Tuple[float, np.ndarray]:
     """Central finite differences (second-order accurate)."""
     ws = _workspace_or_none(network, inputs)
     if ws is not None:
-        return _difference_grad(
-            ws, engine, network.num_parameters, targets, loss, projection,
-            delta, central=True,
+        return _batched_difference_grad(
+            ws, network.num_parameters, targets, loss, projection, delta,
+            central=True,
         )
     params = network.get_flat_params()
     base = _evaluate(network, inputs, targets, loss, projection)
@@ -431,24 +328,6 @@ def _workspace_loss_and_adjoint(
     return base, lam
 
 
-def _looped_derivative_grad(
-    ws,
-    num_params: int,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-) -> Tuple[float, np.ndarray]:
-    """Exact forward-mode over the workspace, one parameter at a time."""
-    base, lam = _workspace_loss_and_adjoint(ws, targets, loss, projection)
-    grad = np.zeros(num_params)
-    for i in range(num_params):
-        dout = ws.derivative_output(i)
-        if projection is not None:
-            projection.apply_inplace(dout)
-        grad[i] = float(np.real(np.sum(np.conj(lam) * dout)))
-    return base, grad
-
-
 def _batched_derivative_grad(
     ws,
     num_params: int,
@@ -477,17 +356,13 @@ def _loss_and_grad_derivative(
     loss: Loss,
     projection: Optional[Projection],
     delta: float,  # unused; kept for signature parity
-    engine: GradientEngine,
 ) -> Tuple[float, np.ndarray]:
     """Exact forward-mode via per-parameter derivative-gate passes."""
     ws = _workspace_or_none(network, inputs)
     if ws is not None:
-        fn = (
-            _batched_derivative_grad
-            if engine == "batched"
-            else _looped_derivative_grad
+        return _batched_derivative_grad(
+            ws, network.num_parameters, targets, loss, projection
         )
-        return fn(ws, network.num_parameters, targets, loss, projection)
     out = _projected_output(network, inputs, projection)
     base = loss.value(out, targets)
     lam = loss.dvalue(out, targets)
@@ -790,102 +665,24 @@ def _loss_and_grad_adjoint(
     loss: Loss,
     projection: Optional[Projection],
     delta: float,  # unused; kept for signature parity
-    engine: GradientEngine,
 ) -> Tuple[float, np.ndarray]:
-    """Exact reverse-mode: one traced forward + one backward sweep.
+    """Exact reverse-mode: :func:`adjoint_sweep`'s block with ``K = 1``,
+    on the backend's cached fold when it matches.
 
     For gate ``g`` at modes ``(k, k+1)`` with pre-gate rows ``(r0, r1)`` the
     parameter gradient is ``Re <lambda, dG (r0, r1)>`` where ``lambda`` is
-    the adjoint at the gate *output*; the adjoint is then pulled back
-    through ``G^dagger`` (``G^T`` for the paper's real network) before
-    moving to the previous gate.  Complex (``allow_phase``) networks read
-    both the ``theta`` and ``alpha`` gradients off the same tape.
-
-    Two drives compute that same contraction:
-
-    - ``engine="looped"`` — the per-gate Python walk below, the
-      bit-exact reference;
-    - ``engine="batched"`` (default) — :func:`adjoint_sweep` with
-      ``K = 1``, on the backend's cached fold when it matches.
+    the adjoint at the gate *output*.  Complex (``allow_phase``) networks
+    read both the ``theta`` and ``alpha`` gradients off the same tapes.
     """
-    if engine == "batched":
-        backend = getattr(network, "backend", None)
-        mesh = None if backend is None else backend.cached_mesh()
-        if mesh is None:
-            mesh = mesh_layers(network, network.get_flat_params()[None])
-        values, grads = _sweep_block(
-            network, mesh, 1, inputs, targets, loss, projection,
-            network.result_dtype(inputs),
-        )
-        return float(values[0]), grads[0]
-    trace = network.forward_trace(np.asarray(inputs))
-    base, lam = _adjoint_loss_and_lambda(
-        trace.output, trace.row_tape.dtype, targets, loss, projection
+    backend = getattr(network, "backend", None)
+    mesh = None if backend is None else backend.cached_mesh()
+    if mesh is None:
+        mesh = mesh_layers(network, network.get_flat_params()[None])
+    values, grads = _sweep_block(
+        network, mesh, 1, inputs, targets, loss, projection,
+        network.result_dtype(inputs),
     )
-
-    if not np.iscomplexobj(trace.row_tape):
-        # Real fast path — bit-identical to the pre-complex implementation.
-        grad = np.zeros(network.num_thetas)
-        g_per_layer = network.gates_per_layer
-        thetas = network.theta_matrix
-        for g in range(trace.modes.size - 1, -1, -1):
-            p = int(trace.gate_index[g, 0])
-            k = int(trace.gate_index[g, 1])
-            theta = thetas[p, k]
-            c, s = math.cos(theta), math.sin(theta)
-            r0 = trace.row_tape[g, 0]
-            r1 = trace.row_tape[g, 1]
-            l0 = lam[k].copy()  # copy: lam[k] is a view we overwrite below
-            l1 = lam[k + 1]
-            # dG rows: [-s*r0 - c*r1, c*r0 - s*r1]
-            grad[p * g_per_layer + k] = float(
-                np.dot(l0, -s * r0 - c * r1) + np.dot(l1, c * r0 - s * r1)
-            )
-            # Pull the adjoint back through G^T = [[c, s], [-s, c]].
-            lam[k] = c * l0 + s * l1
-            lam[k + 1] = -s * l0 + c * l1
-        return base, grad
-
-    # Complex path: gates are T(theta, alpha); the adjoint pulls back
-    # through G^dagger = [[e^{-ia} c, e^{-ia} s], [-s, c]].
-    allow_phase = network.allow_phase
-    grad = np.zeros(network.num_parameters)
-    g_per_layer = network.gates_per_layer
-    thetas = network.theta_matrix
-    off = network.num_thetas
-    layers = network.layers
-    for g in range(trace.modes.size - 1, -1, -1):
-        p = int(trace.gate_index[g, 0])
-        k = int(trace.gate_index[g, 1])
-        theta = thetas[p, k]
-        c, s = math.cos(theta), math.sin(theta)
-        alphas = layers[p].alphas
-        alpha = 0.0 if alphas is None else float(alphas[k])
-        phase = complex(math.cos(alpha), math.sin(alpha))
-        r0 = trace.row_tape[g, 0]
-        r1 = trace.row_tape[g, 1]
-        l0 = lam[k].copy()  # copy: lam[k] is a view we overwrite below
-        l1 = lam[k + 1]
-        # dG/dtheta rows: [-e^{ia} s r0 - c r1, e^{ia} c r0 - s r1]
-        grad[p * g_per_layer + k] = float(
-            np.real(
-                np.sum(np.conj(l0) * (-phase * s * r0 - c * r1))
-                + np.sum(np.conj(l1) * (phase * c * r0 - s * r1))
-            )
-        )
-        if allow_phase:
-            # dG/dalpha rows: [i e^{ia} c r0, i e^{ia} s r0]
-            dphase = 1j * phase
-            grad[off + p * g_per_layer + k] = float(
-                np.real(
-                    np.sum(np.conj(l0) * (dphase * c * r0))
-                    + np.sum(np.conj(l1) * (dphase * s * r0))
-                )
-            )
-        pc = phase.conjugate()
-        lam[k] = pc * (c * l0 + s * l1)
-        lam[k + 1] = -s * l0 + c * l1
-    return base, grad
+    return float(values[0]), grads[0]
 
 
 _METHODS: Dict[str, GradFn] = {
@@ -916,7 +713,6 @@ def loss_and_gradient(
     projection: Optional[Projection] = None,
     method: GradientMethod = "adjoint",
     delta: Optional[float] = None,
-    engine: Optional[GradientEngine] = None,
 ) -> Tuple[float, np.ndarray]:
     """Compute ``(loss, dL/dparams)`` for ``loss(P(U(params) inputs), targets)``.
 
@@ -941,14 +737,6 @@ def loss_and_gradient(
     delta:
         FD step; defaults to the paper's ``1e-8`` for ``"fd"`` and ``1e-6``
         for ``"central"``; ignored by the exact methods.
-    engine:
-        How the gradient is driven: ``"batched"`` (the default —
-        layer-stacked einsums for the workspace methods, the
-        layer-level sweep for ``"adjoint"``) or ``"looped"`` (one
-        parameter / one gate at a time, the bit-exact reference).
-        Ignored only by the re-execution fallback of
-        ``fd``/``central``/``derivative`` (networks whose backend lacks
-        ``supports_cached_gradients``).
 
     Examples
     --------
@@ -967,11 +755,10 @@ def loss_and_gradient(
             f"unknown gradient method {method!r}; available: "
             f"{available_gradient_methods()}"
         )
-    eng = validate_gradient_engine(engine)
     arr, tgt, loss = _checked_problem(
         network, inputs, targets, loss, projection
     )
     step = _DEFAULT_DELTAS[key] if delta is None else float(delta)
     if key in ("fd", "central") and step <= 0:
         raise GradientError(f"delta must be positive for {key!r}, got {step}")
-    return _METHODS[key](network, arr, tgt, loss, projection, step, eng)
+    return _METHODS[key](network, arr, tgt, loss, projection, step)

@@ -30,10 +30,7 @@ from repro.network.targets import (
     TruncatedInputTarget,
 )
 from repro.training.callbacks import Callback, NaNGuard
-from repro.training.gradients import (
-    loss_and_gradient,
-    validate_gradient_engine,
-)
+from repro.training.gradients import loss_and_gradient
 from repro.training.loss import SquaredErrorLoss
 from repro.training.metrics import paper_accuracy, pixel_accuracy
 from repro.training.optimizers import GradientDescent, Optimizer
@@ -225,12 +222,6 @@ class Trainer:
         ``None`` keeps whatever backend the autoencoder already uses.  The
         fused backend accelerates the perturbative gradient methods
         (``fd``/``central``/``derivative``) via prefix/suffix caching.
-    grad_engine:
-        How gradient evaluations are driven: ``"batched"`` (the
-        default — layer-stacked einsums for the workspace methods, the
-        layer-level adjoint sweep) or ``"looped"`` (per-parameter / per-gate
-        reference); ``None`` uses the default.  See
-        :func:`repro.training.gradients.loss_and_gradient`.
     parallel:
         Data-parallel gradient execution: ``None`` (single-process,
         default), ``"pool"`` (one worker per usable CPU) or ``"pool:K"``
@@ -283,7 +274,6 @@ class Trainer:
         batch_size: Optional[int] = None,
         batch_seed: int = 0,
         backend: Optional[str] = None,
-        grad_engine: Optional[str] = None,
         parallel: Optional[str] = None,
         noise=None,
         noise_trajectories: int = 8,
@@ -321,13 +311,6 @@ class Trainer:
         self.callbacks: List[Callback] = [NaNGuard(), *callbacks]
         self.fd_delta = fd_delta
         self.backend = backend
-        # Validate eagerly (same registry as loss_and_gradient) so a typo
-        # fails at construction, not mid-training.
-        self.grad_engine = (
-            None
-            if grad_engine is None
-            else validate_gradient_engine(grad_engine, TrainingError)
-        )
         from repro.parallel.reducer import validate_parallel_spec
 
         self.parallel = validate_parallel_spec(parallel, TrainingError)
@@ -449,7 +432,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
                 reducer=self._reducer,
             )
         elif self._reducer is not None:
@@ -461,7 +443,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
             )
         else:
             loss_val, grad = loss_and_gradient(
@@ -472,7 +453,6 @@ class Trainer:
                 projection=projection,
                 method=self.gradient_method,
                 delta=self.fd_delta,
-                engine=self.grad_engine,
             )
         params = network.get_flat_params()
         network.set_flat_params(optimizer.step(params, grad))

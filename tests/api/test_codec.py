@@ -1,6 +1,8 @@
 """Tests for repro.api.codec: round-trip exactness and persistence."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -351,3 +353,28 @@ class TestShardedCheckpointRoundTrip:
         assert isinstance(backend, ShardedBackend)
         assert backend.worker_count == 3
         assert backend._slot is loaded.autoencoder.ur.backend._slot
+
+
+class TestDroppedCodecIsFreed:
+    """A network references its backend only one way, so dropping a codec
+    frees its networks (and their fold caches) by reference counting,
+    without the cyclic garbage collector."""
+
+    @pytest.mark.parametrize("backend", ["loop", "fused"])
+    def test_networks_freed_with_gc_disabled(self, tmp_path, backend):
+        codec = Codec(backend=backend, **SMALL).fit(_data())
+        path = codec.save(tmp_path / "codec.npz")
+        del codec
+        gc.collect()
+        gc.disable()
+        try:
+            codec = Codec.load(path)
+            codec.forward(_data())  # fills the fused backend's fold cache
+            refs = [
+                weakref.ref(codec.autoencoder.uc),
+                weakref.ref(codec.autoencoder.ur),
+            ]
+            del codec
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

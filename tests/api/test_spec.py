@@ -15,7 +15,6 @@ class TestValidation:
         assert (spec.dim, spec.compressed_dim) == (16, 4)
         assert (spec.compression_layers, spec.reconstruction_layers) == (12, 14)
         assert spec.backend == "loop"
-        assert spec.grad_engine == "batched"
 
     def test_compressed_dim_must_be_smaller(self):
         with pytest.raises(NetworkConfigError):
@@ -30,7 +29,7 @@ class TestValidation:
             {"target": "magic"},
             {"loss_mode": "median"},
             {"backend": "quantum-annealer"},
-            {"grad_engine": "vectorised"},
+            {"noise_trajectories": 0},
             {"gradient_method": "spsa"},
             {"batch_size": 0},
             {"parallel": "cluster"},
@@ -91,6 +90,39 @@ class TestRoundTrip:
         with pytest.raises(NetworkConfigError):
             CodecSpec.from_dict({"quantisation": 8})
 
+    @pytest.mark.parametrize("engine", ["batched", "looped"])
+    def test_legacy_grad_engine_dropped(self, engine):
+        """Checkpoints written while the spec had a ``grad_engine`` field
+        load; the field is gone from the result."""
+        spec = CodecSpec(dim=8, compressed_dim=2, backend="fused")
+        data = {**spec.to_dict(), "grad_engine": engine}
+        assert CodecSpec.from_dict(data) == spec
+        assert "grad_engine" not in CodecSpec.from_dict(data).to_dict()
+
+    @pytest.mark.parametrize("engine", ["vectorised", None, 1])
+    def test_unknown_legacy_grad_engine_rejected(self, engine):
+        with pytest.raises(NetworkConfigError, match="gradient engine"):
+            CodecSpec.from_dict({"grad_engine": engine})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dim": 4.0},
+            {"dim": True},
+            {"projection": [12, "13", 14, 15]},
+            {"learning_rate": "0.01"},
+            {"allow_phase": 1},
+            {"batch_size": 2.5},
+            {"parallel": 2},
+        ],
+    )
+    def test_wrong_json_type_rejected(self, data):
+        with pytest.raises(NetworkConfigError):
+            CodecSpec.from_dict(data)
+
+    def test_integer_accepted_for_float_field(self):
+        assert CodecSpec.from_dict({"learning_rate": 1}).learning_rate == 1
+
     def test_hashable(self):
         assert hash(CodecSpec()) == hash(CodecSpec())
 
@@ -127,7 +159,6 @@ class TestFactories:
     def test_build_trainer_carries_exec_knobs(self):
         trainer = CodecSpec(
             gradient_method="central",
-            grad_engine="looped",
             backend="fused",
             iterations=9,
             loss_mode="mean",
@@ -136,7 +167,6 @@ class TestFactories:
         ).build_trainer()
         assert trainer.iterations == 9
         assert trainer.gradient_method == "central"
-        assert trainer.grad_engine == "looped"
         assert trainer.backend == "fused"
         assert trainer.batch_size == 8
         assert trainer.parallel == "pool:2"

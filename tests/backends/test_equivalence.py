@@ -11,15 +11,21 @@ cancellation noise floor of ``~ulp(loss)/delta`` — ``delta = 1e-8``
 respectively, far above the backends' 1e-15 forward agreement, so those
 methods are compared at the floor, not at 1e-12.
 
-The same floors govern the engine comparison (``looped`` vs ``batched``
-drive of the cached workspace): both engines consume the identical cached
-prefix/suffix arrays, so any disagreement is pure reassociation noise —
-``<= 1e-8`` for every method is the acceptance bar
-(``benchmarks/bench_gradients.py`` gates it at the paper configuration).
+The same floors govern the comparison with the per-gate oracle
+(:mod:`gradient_oracle`'s looped drive of the same cached workspace): both
+consume the identical cached prefix/suffix arrays, so any disagreement is
+pure reassociation noise — ``<= 1e-8`` for every method is the acceptance
+bar, checked at the paper configuration too.
 """
 
 import numpy as np
 import pytest
+from gradient_oracle import (
+    derivative_output,
+    looped_loss_and_gradient,
+    perturbed_output,
+    reference_workspace,
+)
 
 from repro.backends.cached import PrefixSuffixWorkspace
 from repro.backends.program import compile_program
@@ -37,21 +43,21 @@ ENGINE_TOL = {
     "fd": 1e-8,
     "central": 1e-10,
     "derivative": 1e-12,
-    # Batched adjoint is the vectorised sweep, looped the per-gate
-    # reference walk — exact methods both, agreeing at rounding level.
+    # The adjoint is the vectorised sweep, the oracle the per-gate walk —
+    # exact methods both, agreeing at rounding level.
     "adjoint": 1e-12,
 }
 
 
 def engine_tol(method, loss_value):
-    """Per-method engine tolerance, floored at fd's own cancellation noise.
+    """Per-method oracle tolerance, floored at fd's own cancellation noise.
 
-    Both engines evaluate ``(loss(plus) - base) / delta`` from the same
+    Both drives evaluate ``(loss(plus) - base) / delta`` from the same
     cached arrays; their results can only differ by reassociation noise in
     ``loss(plus)``, which enters the quotient in quanta of
     ``ulp(loss)/delta``.  At the paper scale (mean-reduced loss ~1e-3)
-    that floor sits far below 1e-8 — the benchmark gates the absolute bar
-    there — but tiny unit-test problems have O(0.1) losses whose quanta
+    that floor sits far below 1e-8 — the paper-config test holds the
+    absolute bar there — but tiny unit-test problems have O(0.1) losses whose quanta
     are ~5e-9, so the bound must scale with the observed loss.
     """
     tol = ENGINE_TOL[method]
@@ -148,15 +154,20 @@ class TestForwardEquivalence:
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("descending", [False, True])
-def test_forward_trace_equivalence(dim, descending):
-    loop, fused = loop_and_fused(dim, descending=descending)
+@pytest.mark.parametrize("allow_phase", [False, True])
+def test_reference_tape_equivalence(dim, descending, allow_phase):
+    """The oracle's per-gate traced forward is the loop backend's forward
+    bitwise, and the fused one's to rounding."""
+    loop, fused = loop_and_fused(
+        dim, descending=descending, allow_phase=allow_phase
+    )
     x = batch(dim)
-    t_loop = loop.forward_trace(x)
-    t_fused = fused.forward_trace(x)
-    assert np.array_equal(t_loop.output, t_fused.output)
-    assert np.array_equal(t_loop.row_tape, t_fused.row_tape)
-    assert np.array_equal(t_loop.gate_index, t_fused.gate_index)
-    assert np.array_equal(t_loop.modes, t_fused.modes)
+    ref = reference_workspace(loop, x)
+    assert np.array_equal(ref.base_output, loop.forward(x))
+    assert np.allclose(ref.base_output, fused.forward(x), atol=1e-12)
+    assert np.array_equal(
+        ref.row_tape, reference_workspace(fused, x).row_tape
+    )
 
 
 @pytest.mark.parametrize("method", sorted(GRAD_TOL))
@@ -209,19 +220,18 @@ def test_cached_fd_matches_exact_gradient():
 @pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("allow_phase", [False, True])
 def test_engine_equivalence(method, dim, descending, allow_phase):
-    """Batched vs looped engines across dims, orders and dtypes."""
+    """The batched drive vs the looped oracle across dims, orders and
+    dtypes."""
     _, fused = loop_and_fused(
         dim, descending=descending, allow_phase=allow_phase
     )
     x = batch(dim)
     t = batch(dim, seed=6)
     proj = Projection.last(dim, max(1, dim // 2))
-    l1, g1 = loss_and_gradient(
-        fused, x, t, projection=proj, method=method, engine="looped"
+    l1, g1 = looped_loss_and_gradient(
+        fused, x, t, projection=proj, method=method
     )
-    l2, g2 = loss_and_gradient(
-        fused, x, t, projection=proj, method=method, engine="batched"
-    )
+    l2, g2 = loss_and_gradient(fused, x, t, projection=proj, method=method)
     assert g1.shape == g2.shape == (fused.num_parameters,)
     assert l1 == pytest.approx(l2, abs=1e-12)
     assert np.max(np.abs(g1 - g2)) <= engine_tol(method, l1)
@@ -230,20 +240,47 @@ def test_engine_equivalence(method, dim, descending, allow_phase):
 @pytest.mark.parametrize("method", ["fd", "central", "derivative"])
 @pytest.mark.parametrize("dim", DIMS)
 def test_engine_equivalence_complex_inputs(method, dim):
-    """Engines agree for complex input batches on real networks too."""
+    """The drives agree for complex input batches on real networks too."""
     _, fused = loop_and_fused(dim)
     x = batch(dim, complex_=True)
     t = batch(dim, complex_=True, seed=6)
-    l1, g1 = loss_and_gradient(fused, x, t, method=method, engine="looped")
-    _, g2 = loss_and_gradient(fused, x, t, method=method, engine="batched")
+    l1, g1 = looped_loss_and_gradient(fused, x, t, method=method)
+    _, g2 = loss_and_gradient(fused, x, t, method=method)
     assert np.max(np.abs(g1 - g2)) <= engine_tol(method, l1)
+
+
+@pytest.mark.parametrize("method", sorted(ENGINE_TOL))
+@pytest.mark.parametrize("allow_phase", [False, True], ids=["real", "complex"])
+def test_engine_equivalence_paper_config(method, allow_phase):
+    """At the paper's configuration (N = 16, l_C = 12 layers, M = 25
+    samples, projection d = 4) the batched drive matches the looped
+    oracle to <= 1e-8 for every method, real and complex."""
+    net = QuantumNetwork(16, 12, allow_phase=allow_phase, backend="fused")
+    net.initialize("uniform", rng=np.random.default_rng(2024))
+    if allow_phase:
+        params = net.get_flat_params()
+        phases = np.random.default_rng(2025).normal(size=net.num_thetas)
+        params[net.num_thetas :] = 0.4 * phases
+        net.set_flat_params(params)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(16, 25))
+    x /= np.linalg.norm(x, axis=0)
+    t = rng.normal(size=(16, 25))
+    t /= np.linalg.norm(t, axis=0)
+    proj = Projection.last(16, 4)
+    _, g1 = looped_loss_and_gradient(
+        net, x, t, projection=proj, method=method
+    )
+    _, g2 = loss_and_gradient(net, x, t, projection=proj, method=method)
+    assert np.max(np.abs(g1 - g2)) <= 1e-8
 
 
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("allow_phase", [False, True])
 class TestWorkspaceBatchedMethods:
-    """The stacked workspace methods slice-for-slice match the looped ones."""
+    """The stacked workspace methods slice-for-slice match the oracle's
+    one-parameter outputs."""
 
     def workspace(self, dim, descending, allow_phase, m=5):
         net = make_network(
@@ -258,7 +295,7 @@ class TestWorkspaceBatchedMethods:
         stack = ws.perturbed_outputs(idx, 1e-4)
         for i in range(ws.num_parameters):
             assert np.allclose(
-                stack[i], ws.perturbed_output(i, 1e-4), atol=1e-13
+                stack[i], perturbed_output(ws, i, 1e-4), atol=1e-13
             )
 
     def test_perturbed_outputs_keep_restricts(self, dim, descending, allow_phase):
@@ -275,7 +312,7 @@ class TestWorkspaceBatchedMethods:
         idx = np.arange(ws.num_parameters)
         stack = ws.derivative_outputs(idx)
         for i in range(ws.num_parameters):
-            assert np.allclose(stack[i], ws.derivative_output(i), atol=1e-13)
+            assert np.allclose(stack[i], derivative_output(ws, i), atol=1e-13)
 
     def test_derivative_gradients_contraction(
         self, dim, descending, allow_phase
@@ -289,7 +326,7 @@ class TestWorkspaceBatchedMethods:
         grads = ws.derivative_gradients(idx, lam)
         expected = np.array(
             [
-                float(np.real(np.sum(np.conj(lam) * ws.derivative_output(i))))
+                float(np.real(np.sum(np.conj(lam) * derivative_output(ws, i))))
                 for i in range(ws.num_parameters)
             ]
         )
@@ -317,16 +354,9 @@ def test_vectorized_build_matches_reference_sweep():
             net = make_network(
                 6, layers=4, descending=descending, allow_phase=allow_phase
             )
-            prog = compile_program(net)
             x = batch(6)
-            ws = PrefixSuffixWorkspace(net, prog, x)
-            ref = PrefixSuffixWorkspace.__new__(PrefixSuffixWorkspace)
-            ref.program, ref.dtype = prog, ws.dtype
-            ref.num_thetas = ws.num_thetas
-            ref.num_parameters = ws.num_parameters
-            ref._thetas, ref._alphas = ws._thetas, ws._alphas
-            ref._gate_of_param = ws._gate_of_param
-            ref._build_reference(np.asarray(x))
+            ws = PrefixSuffixWorkspace(net, compile_program(net), x)
+            ref = reference_workspace(net, x)
             assert np.allclose(ws.base_output, ref.base_output, atol=1e-13)
             assert np.allclose(ws.row_tape, ref.row_tape, atol=1e-13)
             assert np.allclose(ws.suffix_cols, ref.suffix_cols, atol=1e-13)

@@ -149,7 +149,8 @@ class TestWorkspace:
             ref = QuantumNetwork(5, 3)
             ref.set_flat_params(params)
             assert np.allclose(
-                ws.perturbed_output(i, delta), ref.forward(x), atol=1e-12
+                ws.perturbed_outputs([i], delta)[0], ref.forward(x),
+                atol=1e-12,
             )
 
     def test_bad_param_index_raises(self):
@@ -157,8 +158,8 @@ class TestWorkspace:
 
         net = make_net()
         ws = net.backend.gradient_workspace(np.eye(5))
-        with pytest.raises(GradientError, match="out of range"):
-            ws.perturbed_output(net.num_parameters, 1e-8)
+        with pytest.raises(GradientError, match="must lie in"):
+            ws.perturbed_outputs([net.num_parameters], 1e-8)
 
     def test_bad_input_shape_raises(self):
         net = make_net()

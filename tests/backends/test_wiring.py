@@ -222,54 +222,32 @@ class TestExperimentWiring:
         assert "invalid choice: 'backends'" in capsys.readouterr().err
 
 
-class TestGradEngineWiring:
-    def test_cli_grad_engine_default(self):
-        args = build_parser().parse_args(["fig4"])
-        assert args.grad_engine == "batched"
+class TestOracleWiring:
+    def test_oracle_trains_to_same_parameters(self, monkeypatch):
+        """A short fused ``fd`` fit lands within fd's noise of the same fit
+        with every gradient taken one parameter at a time."""
+        from gradient_oracle import looped_loss_and_gradient
 
-    def test_cli_grad_engine_flag(self):
-        args = build_parser().parse_args(
-            ["table1", "--grad-engine", "looped"]
-        )
-        assert args.grad_engine == "looped"
+        from repro.training import trainer as trainer_module
 
-    def test_cli_rejects_unknown_grad_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig4", "--grad-engine", "magic"])
-
-    def test_cli_help_epilog_documents_grad_engine(self):
-        assert "--grad-engine" in build_parser().epilog
-
-    def test_config_passes_engine_to_trainer(self):
-        cfg = PaperConfig(grad_engine="looped", compression_layers=2,
-                          reconstruction_layers=2, iterations=2)
-        assert cfg.build_trainer().grad_engine == "looped"
-
-    def test_trainer_rejects_unknown_engine(self):
-        from repro.exceptions import TrainingError
-
-        with pytest.raises(TrainingError, match="unknown gradient engine"):
-            Trainer(grad_engine="magic")
-
-    def test_engines_train_to_same_parameters(self):
         X = np.array(
             [[1.0, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
         )
 
-        def train(engine):
+        def train():
             ae = QuantumAutoencoder(4, 2, 2, 2).initialize(
                 rng=np.random.default_rng(0)
             )
             trainer = Trainer(
-                iterations=5,
-                gradient_method="fd",
-                backend="fused",
-                grad_engine=engine,
+                iterations=5, gradient_method="fd", backend="fused"
             )
             return trainer.train(ae, X)
 
-        looped = train("looped")
-        batched = train("batched")
+        batched = train()
+        monkeypatch.setattr(
+            trainer_module, "loss_and_gradient", looped_loss_and_gradient
+        )
+        looped = train()
         assert np.allclose(
             looped.autoencoder.uc.get_flat_params(),
             batched.autoencoder.uc.get_flat_params(),

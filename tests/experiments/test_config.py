@@ -57,10 +57,6 @@ class TestValidation:
         trainer = cfg.build_trainer()
         assert trainer.gradient_method == "adjoint"
 
-    def test_invalid_grad_engine(self):
-        with pytest.raises(ExperimentError, match="gradient engine"):
-            PaperConfig(grad_engine="vectorised")
-
 
 class TestFactories:
     def test_dataset_matches_config(self):

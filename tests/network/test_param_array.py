@@ -9,6 +9,7 @@ independent copy.
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -164,8 +165,9 @@ class TestCopiesOwnTheirArray:
             QuantumNetwork.copy,
             copy.deepcopy,
             lambda net: net.reversed_structure().reversed_structure(),
+            lambda net: pickle.loads(pickle.dumps(net)),
         ],
-        ids=["copy", "deepcopy", "reversed_structure"],
+        ids=["copy", "deepcopy", "reversed_structure", "pickle"],
     )
     @pytest.mark.parametrize("allow_phase", [False, True])
     def test_edit_moves_only_the_copy(self, make, allow_phase):

@@ -137,45 +137,6 @@ class TestForward:
         assert np.allclose(np.linalg.norm(y, axis=0), 1.0, atol=1e-12)
 
 
-class TestForwardTrace:
-    def test_trace_output_matches_forward(self, rng):
-        net = QuantumNetwork(8, 3).initialize("uniform", rng=rng)
-        x = rng.normal(size=(8, 5))
-        trace = net.forward_trace(x)
-        assert np.allclose(trace.output, net.forward(x))
-
-    def test_tape_shapes(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 3))
-        trace = net.forward_trace(x)
-        assert trace.row_tape.shape == (6, 2, 3)
-        assert trace.gate_index.shape == (6, 2)
-        assert trace.modes.shape == (6,)
-
-    def test_tape_first_gate_rows_are_input(self, rng):
-        net = QuantumNetwork(4, 1).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 2))
-        trace = net.forward_trace(x)
-        k = trace.modes[0]
-        assert np.allclose(trace.row_tape[0, 0], x[k])
-        assert np.allclose(trace.row_tape[0, 1], x[k + 1])
-
-    def test_complex_network_trace(self, rng):
-        net = QuantumNetwork(4, 2, allow_phase=True)
-        net.set_flat_params(rng.uniform(0.1, 1.0, net.num_parameters))
-        trace = net.forward_trace(np.eye(4))
-        assert np.iscomplexobj(trace.output)
-        assert np.iscomplexobj(trace.row_tape)
-        assert np.allclose(trace.output, net.forward(np.eye(4)))
-
-    def test_complex_input_trace(self, rng):
-        net = QuantumNetwork(4, 2).initialize("uniform", rng=rng)
-        x = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        trace = net.forward_trace(x)
-        assert np.iscomplexobj(trace.output)
-        assert np.allclose(trace.output, net.forward(x))
-
-
 class TestStructure:
     def test_reversed_structure(self):
         net = QuantumNetwork(4, 3, descending=False)

@@ -79,18 +79,17 @@ class TestNoisyGradient:
         assert np.array_equal(grad, ref_g)
 
     @pytest.mark.parametrize("network", ["fused", "fused-phase", "loop"])
-    @pytest.mark.parametrize("engine", ["batched", "looped"])
     @pytest.mark.parametrize(
         "method", ["adjoint", "derivative", "fd", "central"]
     )
-    def test_matches_manual_average(self, method, engine, network):
+    def test_matches_manual_average(self, method, network):
         net = _network(
             backend="loop" if network == "loop" else "fused",
             allow_phase=network == "fused-phase",
         )
         x, t = _batch()
         K = 3
-        kwargs = dict(method=method, engine=engine)
+        kwargs = dict(method=method)
         base = net.get_flat_params().copy()
         grads, values = [], []
         for r in range(K):

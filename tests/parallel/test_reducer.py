@@ -202,16 +202,3 @@ class TestReducerAgreement:
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
 
-    def test_looped_engine_bitwise_vs_single_process(self, reducer):
-        """The looped per-parameter drive shards bitwise-exactly too."""
-        net = _network()
-        x, t = _batch()
-        loss = SquaredErrorLoss(reduction="sum")
-        ref = loss_and_gradient(
-            net, x, t, loss=loss, method="fd", engine="looped"
-        )
-        par = reducer.loss_and_gradient(
-            net, x, t, loss=loss, method="fd", engine="looped"
-        )
-        assert par[0] == ref[0]
-        assert np.array_equal(par[1], ref[1])

@@ -1,18 +1,18 @@
 """The layer-level adjoint sweep vs the per-gate reference walk.
 
-``method="adjoint"`` with the default ``engine="batched"`` pulls the loss
-adjoint back one layer GEMM at a time and reads every gate's rows and
-adjoints off in-layer recurrences
+``method="adjoint"`` pulls the loss adjoint back one layer GEMM at a time
+and reads every gate's rows and adjoints off in-layer recurrences
 (:func:`repro.training.gradients.adjoint_sweep`) instead of walking gates
-in Python; ``engine="looped"`` keeps the original walk as the reference.
-Both are exact reverse-mode, so they agree at rounding level on every
-dim / order / dtype / backend / projection / loss combination —
+in Python; :mod:`gradient_oracle` keeps the original walk as the
+reference.  Both are exact reverse-mode, so they agree at rounding level
+on every dim / order / dtype / backend / projection / loss combination —
 including the complex (``allow_phase``) extension, whose theta *and*
 alpha gradients read off the same tape.
 """
 
 import numpy as np
 import pytest
+from gradient_oracle import looped_loss_and_gradient
 
 from repro.network import Projection, QuantumNetwork
 from repro.training.gradients import loss_and_gradient
@@ -63,8 +63,8 @@ def test_vectorized_adjoint_matches_walk(dim, descending, allow_phase,
     t = batch(dim, complex_=allow_phase, seed=6)
     proj = Projection.last(dim, max(1, dim // 2)) if projected else None
     kwargs = dict(loss=LOSSES[loss_name], projection=proj, method="adjoint")
-    l1, g1 = loss_and_gradient(net, x, t, engine="looped", **kwargs)
-    l2, g2 = loss_and_gradient(net, x, t, engine="batched", **kwargs)
+    l1, g1 = looped_loss_and_gradient(net, x, t, **kwargs)
+    l2, g2 = loss_and_gradient(net, x, t, **kwargs)
     assert g1.shape == g2.shape == (net.num_parameters,)
     assert l1 == pytest.approx(l2, abs=1e-12)
     assert np.max(np.abs(g1 - g2)) < 1e-12
@@ -78,10 +78,8 @@ def test_vectorized_adjoint_complex_network_vs_derivative(dim):
                        backend="fused")
     x = batch(dim, complex_=True)
     t = batch(dim, complex_=True, seed=6)
-    _, g_adj = loss_and_gradient(net, x, t, method="adjoint",
-                                 engine="batched")
-    _, g_der = loss_and_gradient(net, x, t, method="derivative",
-                                 engine="batched")
+    _, g_adj = loss_and_gradient(net, x, t, method="adjoint")
+    _, g_der = loss_and_gradient(net, x, t, method="derivative")
     assert np.max(np.abs(g_adj - g_der)) < 1e-10
 
 
@@ -91,8 +89,8 @@ def test_vectorized_adjoint_backend_independent():
     loop = make_network(6, 4)
     fused = loop.copy().set_backend("fused")
     x, t = batch(6), batch(6, seed=6)
-    _, g1 = loss_and_gradient(loop, x, t, method="adjoint", engine="batched")
-    _, g2 = loss_and_gradient(fused, x, t, method="adjoint", engine="batched")
+    _, g1 = loss_and_gradient(loop, x, t, method="adjoint")
+    _, g2 = loss_and_gradient(fused, x, t, method="adjoint")
     assert np.max(np.abs(g1 - g2)) < 1e-12
 
 
@@ -102,34 +100,39 @@ def test_vectorized_adjoint_complex_inputs_real_network():
     net = make_network(5, 3)
     x = batch(5, complex_=True)
     t = batch(5, complex_=True, seed=6)
-    _, g1 = loss_and_gradient(net, x, t, method="adjoint", engine="looped")
-    _, g2 = loss_and_gradient(net, x, t, method="adjoint", engine="batched")
+    _, g1 = looped_loss_and_gradient(net, x, t, method="adjoint")
+    _, g2 = loss_and_gradient(net, x, t, method="adjoint")
     assert np.max(np.abs(g1 - g2)) < 1e-12
 
 
 def test_vectorized_adjoint_does_not_mutate_params():
     net = make_network(5, 3)
     before = net.get_flat_params()
-    loss_and_gradient(net, batch(5), batch(5, seed=6), method="adjoint",
-                      engine="batched")
+    loss_and_gradient(net, batch(5), batch(5, seed=6), method="adjoint")
     assert np.array_equal(net.get_flat_params(), before)
 
 
-def test_trainer_default_uses_vectorized_adjoint():
-    """End-to-end: a few default-engine training iterations land within
-    rounding of the looped-engine run (same optimiser trajectory)."""
+def test_trainer_default_uses_vectorized_adjoint(monkeypatch):
+    """End-to-end: a few training iterations land within rounding of the
+    same run with every gradient taken by the per-gate walk (same
+    optimiser trajectory)."""
     from repro.network.autoencoder import QuantumAutoencoder
+    from repro.training import trainer as trainer_module
     from repro.training.trainer import Trainer
 
     rng = np.random.default_rng(1)
     X = np.abs(rng.normal(size=(5, 4))) + 0.1
-    results = {}
-    for engine in ("batched", "looped"):
+
+    def final_loss_r():
         ae = QuantumAutoencoder(
             dim=4, compressed_dim=2, compression_layers=2,
             reconstruction_layers=2, backend="fused",
         ).initialize("uniform", rng=np.random.default_rng(3))
-        trainer = Trainer(iterations=5, gradient_method="adjoint",
-                          grad_engine=engine)
-        results[engine] = trainer.train(ae, X).final_loss_r
-    assert results["batched"] == pytest.approx(results["looped"], abs=1e-10)
+        trainer = Trainer(iterations=5, gradient_method="adjoint")
+        return trainer.train(ae, X).final_loss_r
+
+    batched = final_loss_r()
+    monkeypatch.setattr(
+        trainer_module, "loss_and_gradient", looped_loss_and_gradient
+    )
+    assert batched == pytest.approx(final_loss_r(), abs=1e-10)

@@ -200,11 +200,6 @@ class TestValidation:
         _, g_der = loss_and_gradient(net, xc, t, method="derivative")
         assert np.allclose(g_adj, g_der, atol=1e-12)
 
-    def test_unknown_engine(self):
-        net, x, t = make_problem()
-        with pytest.raises(GradientError, match="unknown gradient engine"):
-            loss_and_gradient(net, x, t, engine="vectorised")
-
     def test_shape_mismatch(self):
         net, x, t = make_problem()
         with pytest.raises(GradientError, match="targets shape"):

@@ -1,13 +1,16 @@
 """Run every ``benchmarks/bench_*.py`` and merge the JSON into one file.
 
 The perf trajectory of this repo lives in the JSON the gated benchmarks
-emit (``bench_backends``, ``bench_gradients``, ``bench_serving``,
-``bench_sharding``, ``bench_training``, ``bench_noise`` — each a
-standalone ``main(argv) -> exit code`` script writing a payload).  Before this tool
-each produced its own artifact; now one invocation runs the whole
-directory and merges everything into ``BENCH_<rev>.json`` (``<rev>`` =
-short git revision), so each PR leaves exactly one comparable snapshot
-and CI uploads it as a workflow artifact.
+emit (``bench_backends``, ``bench_frontend``, ``bench_imaging``,
+``bench_noise``, ``bench_serving``, ``bench_sharding``, ``bench_training``
+— each a standalone ``main(argv) -> exit code`` script writing a
+payload).  One invocation runs the whole directory and merges everything
+into ``BENCH_<rev>.json`` (``<rev>`` = short git revision), so each PR
+leaves exactly one comparable snapshot and CI uploads it as a workflow
+artifact.  Gradient timing lives in ``bench_backends`` (the fused
+workspace against loop re-execution) and in ``perfbench``'s
+``training.gradient`` layer; the agreement of the gradient drive with its
+per-gate oracle is a tier-1 test.
 
 Two benchmark flavours are discovered automatically:
 
@@ -22,7 +25,7 @@ Two benchmark flavours are discovered automatically:
 Usage::
 
     PYTHONPATH=src python tools/bench_all.py                  # all benches
-    PYTHONPATH=src python tools/bench_all.py --select gradients sharding
+    PYTHONPATH=src python tools/bench_all.py --select backends sharding
     PYTHONPATH=src python tools/bench_all.py --gates-only     # CI set
     PYTHONPATH=src python tools/bench_all.py --out-dir bench-artifacts
     PYTHONPATH=src python tools/bench_all.py --list
