@@ -2,105 +2,64 @@
 """Mixed-state analysis: how decoherence degrades the trained codec.
 
 The statevector simulator covers the paper's ideal runs; real photonic
-hardware decoheres.  This example propagates the trained pipeline through
-density-matrix channels:
+hardware decoheres.  This example trains the paper's codec once, then
+evaluates it through the exact density path (``noise_path="density"``:
+each sample's density matrix folded through both meshes, no sampling)
+under one :class:`~repro.noise.NoiseModel` channel at a time:
 
-1. dephasing between the compression and reconstruction meshes (e.g. a
-   noisy delay line or transmission link) — Fig.-1 step 2->3 boundary;
-2. depolarising noise of increasing strength;
-3. per-mode photon loss with post-selection.
+1. dephasing on the wire between the compression and reconstruction
+   meshes (e.g. a noisy delay line or transmission link) — the Fig.-1
+   step 2->3 boundary;
+2. depolarizing noise at the same point;
+3. insertion loss in every beamsplitter of both meshes.
 
-For each channel strength it reports the output-state fidelity against
-the ideal reconstruction and the resulting pixel accuracy.
+For each channel strength it reports the Eq. (10) accuracy of the noisy
+reconstruction, the fidelity of the surviving state against the ideal
+one, and the fraction of the photon that survives (transmission).
 
 Run:  python examples/density_noise_analysis.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import QuantumAutoencoder, Trainer, paper_accuracy
+from repro import Codec, NoiseModel
 from repro.data import paper_dataset
-from repro.encoding.amplitude import decode_vector
-from repro.network.targets import TruncatedInputTarget
-from repro.simulator.density import (
-    DensityMatrix,
-    amplitude_damping_kraus,
-    dephasing_channel,
-    depolarizing_channel,
-)
-from repro.training.optimizers import MomentumGD
 from repro.utils.ascii_art import render_table
+
+SWEEPS = (
+    ("dephasing", (0.01, 0.1, 0.5)),
+    ("depolarizing", (0.01, 0.1)),
+    ("loss_per_gate", (0.001, 0.01)),
+)
 
 
 def main() -> None:
-    ds = paper_dataset()
-    X = ds.matrix()
-    ae = QuantumAutoencoder(16, 4, 12, 14).initialize(
-        "uniform", rng=np.random.default_rng(2024)
-    )
-    Trainer(
-        iterations=200,
-        gradient_method="adjoint",
-        optimizer_factory=lambda: MomentumGD(0.01, 0.9),
-        record_theta_every=None,
-    ).train(ae, X, target_strategy=TruncatedInputTarget.from_pca(ae.projection, X))
+    X = paper_dataset().matrix()
+    codec = Codec(iterations=200, backend="fused").fit(X)
 
-    enc = ae.codec.encode(X)
-    u_c = ae.uc.unitary()
-    u_r = ae.ur.unitary()
-    p1 = ae.projection.matrix()
+    def row(channel: str, strength: str, model: NoiseModel) -> dict:
+        scores = codec.evaluate(X, noise=model, noise_path="density")
+        return {
+            "channel": channel,
+            "strength": strength,
+            "accuracy": f"{scores['noisy_accuracy']:.2f}%",
+            "fidelity": f"{scores['mean_fidelity']:.4f}",
+            "transmission": f"{scores['mean_transmission']:.4f}",
+        }
 
-    def run_with_channel(kraus, renormalize=False):
-        """Propagate every sample as a density matrix through
-        U_R . channel . P1 . U_C and decode the diagonal."""
-        fidelities, pixels = [], []
-        for i in range(enc.num_samples):
-            amps = enc.amplitudes()[:, i]
-            rho = DensityMatrix.from_state(amps)
-            rho = rho.evolve(u_c)
-            # Projection is a (trace-decreasing) Kraus map; renormalise to
-            # model post-selecting the kept modes.
-            rho = rho.apply_kraus([p1], renormalize=True)
-            if kraus is not None:
-                rho = rho.apply_kraus(kraus, renormalize=renormalize)
-            rho = rho.evolve(u_r)
-            ideal = ae.forward_encoded(enc).output_amplitudes[:, i]
-            ideal = ideal / np.linalg.norm(ideal)
-            fidelities.append(rho.fidelity_with_pure(ideal))
-            probs = rho.probabilities()
-            x_hat = decode_vector(np.sqrt(probs), enc.squared_norms[i])
-            pixels.append(x_hat)
-        x_hat = np.stack(pixels)
-        return float(np.mean(fidelities)), paper_accuracy(x_hat, X)
+    rows = [row("none (ideal)", "-", NoiseModel())]
+    for field, strengths in SWEEPS:
+        for p in strengths:
+            rows.append(row(field, f"{p}", NoiseModel(**{field: p})))
 
-    rows = []
-    fid, acc = run_with_channel(None)
-    rows.append({"channel": "none (ideal)", "strength": "-",
-                 "fidelity": f"{fid:.4f}", "accuracy": f"{acc:.2f}%"})
-    for p in (0.01, 0.1, 0.5):
-        fid, acc = run_with_channel(dephasing_channel(16, p))
-        rows.append({"channel": "dephasing", "strength": f"{p}",
-                     "fidelity": f"{fid:.4f}", "accuracy": f"{acc:.2f}%"})
-    for p in (0.01, 0.1):
-        fid, acc = run_with_channel(depolarizing_channel(16, p))
-        rows.append({"channel": "depolarizing", "strength": f"{p}",
-                     "fidelity": f"{fid:.4f}", "accuracy": f"{acc:.2f}%"})
-    for g in (0.05, 0.2):
-        kraus = amplitude_damping_kraus(16, mode=15, gamma=g)
-        fid, acc = run_with_channel(kraus, renormalize=True)
-        rows.append({"channel": "loss on mode 15", "strength": f"{g}",
-                     "fidelity": f"{fid:.4f}", "accuracy": f"{acc:.2f}%"})
-
-    print(render_table(rows, title="decoherence between U_C and U_R"))
+    print(render_table(rows, title="exact density path, one channel at a time"))
     print(
         "\nReading: state fidelity degrades gracefully (>0.99 at 1% noise) "
         "but Eq. (10)'s |err| <= 0.01 pixel\ncriterion is far stricter — "
         "1% dephasing already halves the accuracy while barely moving "
-        "fidelity.\nSingle-mode loss is mildest: only ~1/4 of the "
-        "compressed signal occupies any one kept mode, and\npost-selection "
-        "renormalises the rest."
+        "fidelity.\nInsertion loss costs transmission, not shape: the "
+        "surviving state keeps fidelity >= 0.998,\nbut the lost "
+        "probability dims every decoded pixel, so accuracy falls anyway."
     )
 
 

@@ -154,17 +154,24 @@ def _embedded_spec(data, ae: QuantumAutoencoder) -> CodecSpec:
         spec = CodecSpec.from_dict(data)
     except ReproError as exc:
         raise SerializationError(f"invalid embedded CodecSpec: {exc}") from exc
-    header = {
-        "dim": ae.dim,
-        "compressed_dim": ae.compressed_dim,
-        "compression_layers": ae.uc.num_layers,
-        "reconstruction_layers": ae.ur.num_layers,
-        "allow_phase": ae.uc.allow_phase,
+    # (spec value, archive value); a null spec projection means the last
+    # ``compressed_dim`` modes, so both sides compare as kept-mode tuples.
+    pairs = {
+        "dim": (spec.dim, ae.dim),
+        "compressed_dim": (spec.compressed_dim, ae.compressed_dim),
+        "compression_layers": (spec.compression_layers, ae.uc.num_layers),
+        "reconstruction_layers": (spec.reconstruction_layers, ae.ur.num_layers),
+        "allow_phase": (spec.allow_phase, ae.uc.allow_phase),
+        "renormalize": (spec.renormalize, ae.renormalize),
+        "projection": (
+            tuple(spec.build_projection().keep.tolist()),
+            tuple(ae.projection.keep.tolist()),
+        ),
     }
-    for name, value in header.items():
-        if getattr(spec, name) != value:
+    for name, (claimed, value) in pairs.items():
+        if claimed != value:
             raise SerializationError(
-                f"embedded CodecSpec has {name}={getattr(spec, name)!r} but "
+                f"embedded CodecSpec has {name}={claimed!r} but "
                 f"the archive header has {value!r}"
             )
     return spec
@@ -476,8 +483,9 @@ class Codec:
         Archives without an embedded spec (plain ``save_autoencoder``
         output, including every v1 file) get a spec synthesised from the
         architecture header plus default execution knobs.  An embedded
-        spec that does not parse, or describes another architecture than
-        the header, raises :class:`~repro.exceptions.SerializationError`.
+        spec that does not parse, or disagrees with the header on the
+        architecture, the kept modes or ``renormalize``, raises
+        :class:`~repro.exceptions.SerializationError`.
         """
         from repro.io.model_io import load_autoencoder_with_meta
 

@@ -395,20 +395,6 @@ class PrefixSuffixWorkspace:
         out += base[None, :, :]
         return out
 
-    def derivative_outputs(self, param_indices: np.ndarray) -> np.ndarray:
-        """Stacked exact derivative-gate outputs, shape ``(P, N, M)``.
-
-        Slice ``p`` is ``S_i (dG_i) (P_i X)`` for ``i = param_indices[p]``:
-        the forward pass with gate ``i`` replaced by its parameter
-        derivative (all other rows of the embedded derivative are zero, so
-        no base term appears).
-        """
-        _, gates, ti, wrt_alpha = self._resolve_many(param_indices)
-        d = np.matmul(
-            self._derivative_blocks(ti, wrt_alpha), self.row_tape[gates]
-        )
-        return np.matmul(self.suffix_cols[gates], d)
-
     def derivative_gradients(
         self, param_indices: np.ndarray, lam: np.ndarray
     ) -> np.ndarray:

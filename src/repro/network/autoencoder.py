@@ -85,10 +85,6 @@ class CompressionNetwork:
     def compressed_dim(self) -> int:
         return self.projection.compressed_dim
 
-    def pre_projection_output(self, data: np.ndarray) -> np.ndarray:
-        """``U_C @ data`` without the projection (used by gradient code)."""
-        return self.network.forward(data)
-
     def compress(
         self, data: np.ndarray | StateBatch, renormalize: bool = False
     ) -> np.ndarray:

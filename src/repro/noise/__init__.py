@@ -9,8 +9,8 @@ footnote:
   dephasing, depolarizing, shots) plus the ``mild | lossy | harsh``
   presets;
 - :mod:`~repro.noise.density` — the exact execution path: per-sample
-  density matrices folded through the compiled gate program and the
-  Kraus channels of :mod:`repro.simulator.density`;
+  density matrices folded through the compiled gate program, with the
+  dephasing and depolarizing Kraus channels built beside it;
 - :mod:`~repro.noise.trajectory` — the scalable path: sampled
   whole-mesh realizations (one GEMM per realization per batch),
   pool-shardable with bitwise-reproducible realization-keyed seeding;

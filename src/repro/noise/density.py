@@ -13,14 +13,18 @@ applying after each Givens rotation the *exact* noise channels of the
   the traceless-symmetric part of the gate's own 2x2 block decays by
   ``exp(-2 sigma^2)`` (the antisymmetric part commutes with every
   rotation and survives).
-- **insertion loss** — the single-photon amplitude-damping Kraus of
-  :func:`repro.simulator.density.amplitude_damping_kraus` on both of the
-  gate's modes (the unconditional, trace-decreasing branch: lost
+- **insertion loss** — single-photon amplitude damping on both of the
+  gate's modes, the diagonal Kraus operator with ``keep = sqrt(1 - loss)``
+  on the damped mode (the unconditional, trace-decreasing branch: lost
   probability leaves the matrix, it is not renormalized back).
 
 Between the meshes the wire channels are folded through the Kraus
-operators built by :func:`repro.simulator.density.dephasing_channel` and
-:func:`repro.simulator.density.depolarizing_channel`.
+operators built by :func:`dephasing_channel` and
+:func:`depolarizing_channel`.
+
+Operators act on the ``N``-dimensional mode space the amplitude encoding
+uses (one photon superposed over ``N`` optical modes), not on
+tensor-factored qubits.
 
 This is ``O(G N^2)`` per sample — exact and cheap at the paper scale
 (``N = 16``), the ground truth the scalable trajectory path
@@ -30,11 +34,11 @@ This is ``O(G N^2)`` per sample — exact and cheap at the paper scale
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.exceptions import NoiseError
+from repro.exceptions import DimensionError, NoiseError
 from repro.noise.model import NoiseModel
 from repro.noise.trajectory import (
     NoisyForwardResult,
@@ -44,20 +48,65 @@ from repro.noise.trajectory import (
     measure_probabilities,
     realization_rng,
 )
-from repro.simulator.density import (
-    amplitude_damping_kraus,
-    dephasing_channel,
-    depolarizing_channel,
-)
 
-__all__ = ["apply_kraus_raw", "apply_jitter_channel", "noisy_program_rho", "density_forward"]
+__all__ = [
+    "dephasing_channel",
+    "depolarizing_channel",
+    "apply_kraus_raw",
+    "apply_jitter_channel",
+    "noisy_program_rho",
+    "density_forward",
+]
+
+
+def dephasing_channel(dim: int, strength: float) -> List[np.ndarray]:
+    """Kraus operators for mode dephasing of strength ``p`` in [0, 1].
+
+    With probability ``p`` the state is measured in the computational
+    basis (off-diagonals are scaled by ``1 - p``): the channel that
+    destroys the interference the mesh relies on.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise DimensionError(f"strength must be in [0, 1], got {strength}")
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
+    ops = [np.sqrt(1.0 - strength) * np.eye(dim, dtype=np.complex128)]
+    for j in range(dim):
+        proj = np.zeros((dim, dim), dtype=np.complex128)
+        proj[j, j] = np.sqrt(strength)
+        ops.append(proj)
+    return ops
+
+
+def depolarizing_channel(dim: int, strength: float) -> List[np.ndarray]:
+    """Kraus set realising ``rho -> (1-p) rho + p I/N``.
+
+    Built from the identity plus the ``N^2`` generalized Pauli (shift x
+    clock) unitaries with uniform weights — exact for any ``N``.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise DimensionError(f"strength must be in [0, 1], got {strength}")
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
+    shift = np.roll(np.eye(dim), 1, axis=0).astype(np.complex128)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    ops: List[np.ndarray] = []
+    for a in range(dim):
+        for b in range(dim):
+            u = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(
+                clock, b
+            )
+            weight = strength / (dim * dim)
+            if a == 0 and b == 0:
+                weight += 1.0 - strength
+            ops.append(np.sqrt(weight) * u)
+    return ops
 
 
 def apply_kraus_raw(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     """``sum_i K_i rho K_i^dagger`` on a raw array.
 
-    Unlike :meth:`repro.simulator.density.DensityMatrix.apply_kraus` this
-    places no unit-trace requirement on ``rho`` — the noisy pipeline
+    No unit-trace requirement is placed on ``rho``: the noisy pipeline
     works with unconditional (sub-normalized) states whose lost
     probability is physical signal, not an error.
     """
@@ -138,15 +187,9 @@ def noisy_program_rho(
     params = np.asarray(params, dtype=np.float64)
     sigma = model.theta_sigma
     loss = model.loss_per_gate
-    if loss > 0.0:
-        # K rho K^dagger for the diagonal amplitude-damping Kraus on both
-        # modes collapses to symmetric row/column scaling — the literal
-        # simulator builder, folded analytically.
-        keep = float(
-            amplitude_damping_kraus(prog.dim, 0, loss)[0][0, 0].real
-        )
-    else:
-        keep = 1.0
+    # K rho K^dagger for the diagonal amplitude-damping Kraus on both
+    # modes collapses to symmetric row/column scaling by this amplitude.
+    keep = math.sqrt(1.0 - loss)
     for g in range(prog.num_gates):
         k = int(prog.modes[g])
         _rotate_rho(rho, k, float(params[prog.theta_index[g]]))

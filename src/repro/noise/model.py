@@ -13,9 +13,9 @@ that every execution path understands:
   (single-photon amplitude damping, ``keep = sqrt(1 - loss)`` per mode).
 - ``dephasing`` — global dephasing strength ``p`` applied to the
   compressed state on the wire between ``U_C`` and ``U_R``
-  (:func:`repro.simulator.density.dephasing_channel`).
+  (:func:`repro.noise.density.dephasing_channel`).
 - ``depolarizing`` — global depolarizing strength applied at the same
-  point (:func:`repro.simulator.density.depolarizing_channel`).
+  point (:func:`repro.noise.density.depolarizing_channel`).
 - ``shots`` — finite measurement statistics at readout; ``None`` is the
   paper's exact (infinite-shot) regime.
 

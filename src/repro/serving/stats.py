@@ -86,11 +86,6 @@ class LatencyHistogram:
         return self._count
 
     @property
-    def bucket_bounds(self) -> Sequence[float]:
-        """Upper bounds (seconds) of the finite buckets."""
-        return tuple(self._bounds)
-
-    @property
     def bucket_counts(self) -> Sequence[int]:
         """Per-bucket counts, the last entry being the overflow bucket."""
         return tuple(self._counts)

@@ -165,11 +165,6 @@ class ServerHarness:
     def port(self) -> int:
         return self.frontend.port
 
-    def run_coro(self, coro, timeout: float = 30.0):
-        """Run a coroutine on the server's loop from the test thread."""
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout=timeout)
-
     def begin_drain(self) -> None:
         """Start the graceful drain without waiting for it to finish —
         for tests that need to observe the *draining* state (503s for

@@ -9,27 +9,18 @@ simulation primitives the rest of the library is built on:
   of them (states are columns of an ``(N, M)`` array);
 - :mod:`~repro.simulator.gates` — two-mode beamsplitter/Givens gates
   ``U^(k,k+1)(theta, alpha)`` (Fig. 2 of the paper) with batched in-place
-  application kernels;
-- :mod:`~repro.simulator.density` — density matrices and the noise
-  channels of the exact noisy execution path.
+  application kernels.
+
+Mixed states and the noise channels live with the exact noisy execution
+path in :mod:`repro.noise.density`.
 """
 
 from repro.simulator.state import QuantumState, StateBatch
 from repro.simulator.gates import BeamsplitterGate, apply_givens_batch
-from repro.simulator.density import (
-    DensityMatrix,
-    dephasing_channel,
-    depolarizing_channel,
-    amplitude_damping_kraus,
-)
 
 __all__ = [
     "QuantumState",
     "StateBatch",
     "BeamsplitterGate",
     "apply_givens_batch",
-    "DensityMatrix",
-    "dephasing_channel",
-    "depolarizing_channel",
-    "amplitude_damping_kraus",
 ]

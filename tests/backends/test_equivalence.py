@@ -307,13 +307,6 @@ class TestWorkspaceBatchedMethods:
         full = ws.perturbed_outputs(idx, 1e-4)
         assert np.allclose(restricted, full[:, proj.mask], atol=1e-13)
 
-    def test_derivative_outputs_stack(self, dim, descending, allow_phase):
-        _, ws = self.workspace(dim, descending, allow_phase)
-        idx = np.arange(ws.num_parameters)
-        stack = ws.derivative_outputs(idx)
-        for i in range(ws.num_parameters):
-            assert np.allclose(stack[i], derivative_output(ws, i), atol=1e-13)
-
     def test_derivative_gradients_contraction(
         self, dim, descending, allow_phase
     ):

@@ -69,3 +69,19 @@ def test_paper_experiment_reduced_budget_executes():
     )
     assert result.returncode == 0, result.stderr
     assert "Fig. 4a" in result.stdout
+
+
+@pytest.mark.slow
+def test_density_noise_analysis_executes():
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "density_noise_analysis.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    ideal = next(
+        line for line in result.stdout.splitlines()
+        if line.startswith("none (ideal)")
+    )
+    assert [cell.strip() for cell in ideal.split("|")][3] == "1.0000"

@@ -1,5 +1,6 @@
 """Committed checkpoints load to bitwise the outputs they were saved with,
-and a checkpoint whose embedded spec is malformed is refused.
+and a checkpoint whose embedded spec is malformed, or disagrees with the
+archive it rides in, is refused.
 
 ``data/codec_real.npz`` and ``data/codec_phase.npz`` are small
 :meth:`Codec.save` archives (4 modes, d = 2, 2/2 layers; the second with
@@ -137,3 +138,22 @@ def test_malformed_embedded_spec_raises(tmp_path, edit):
     with pytest.raises(SerializationError):
         Codec.load(path)
 
+
+@pytest.mark.parametrize(
+    "field, value", [("projection", [0, 1]), ("renormalize", True)]
+)
+def test_embedded_spec_disagreeing_with_archive_raises(tmp_path, field, value):
+    # codec_real keeps modes [2, 3] without renormalising.
+    path = _write_with_meta(tmp_path / "bad.npz", _set_spec(**{field: value}))
+    with pytest.raises(SerializationError, match=field):
+        Codec.load(path)
+
+
+@pytest.mark.parametrize("projection", [[2, 3], [3, 2]])
+def test_embedded_projection_naming_the_kept_modes_loads(tmp_path, projection):
+    path = _write_with_meta(
+        tmp_path / "ok.npz", _set_spec(projection=projection)
+    )
+    codec = Codec.load(path)
+    assert codec.spec.build_projection().keep.tolist() == [2, 3]
+    assert codec.autoencoder.projection.keep.tolist() == [2, 3]
