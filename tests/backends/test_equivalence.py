@@ -325,6 +325,27 @@ class TestWorkspaceBatchedMethods:
         )
         assert np.allclose(grads, expected, atol=1e-12)
 
+    def test_derivative_gradients_any_index_order(
+        self, dim, descending, allow_phase
+    ):
+        # A shuffled strict subset of the parameters: entry p of the
+        # result belongs to param_indices[p], whatever the order.
+        _, ws = self.workspace(dim, descending, allow_phase)
+        rng = np.random.default_rng(4)
+        lam = rng.normal(size=ws.base_output.shape).astype(ws.dtype)
+        if np.iscomplexobj(lam):
+            lam = lam + 1j * rng.normal(size=ws.base_output.shape)
+        idx = rng.permutation(ws.num_parameters)[: ws.num_parameters // 2 + 1]
+        grads = ws.derivative_gradients(idx, lam)
+        assert grads.shape == idx.shape
+        expected = np.array(
+            [
+                float(np.real(np.sum(np.conj(lam) * derivative_output(ws, i))))
+                for i in idx
+            ]
+        )
+        assert np.allclose(grads, expected, atol=1e-12)
+
     def test_param_chunks_cover_all_parameters(
         self, dim, descending, allow_phase
     ):

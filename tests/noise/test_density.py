@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.api import Codec
 from repro.backends.program import compile_program
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, NoiseError
 from repro.network import QuantumNetwork
 from repro.noise import NOISE_PRESETS, NoiseModel, density_forward
 from repro.noise.density import (
@@ -35,6 +35,7 @@ from repro.noise.density import (
     depolarizing_channel,
     noisy_program_rho,
 )
+from repro.noise.trajectory import clean_mesh_matrix
 
 DATA = Path(__file__).parent / "data"
 MODELS = dict(
@@ -228,3 +229,81 @@ class TestNoisyProgramRho:
         got = noisy_program_rho(prog, params, rho, model)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert float(np.trace(got)) < 1.0
+
+    def test_lossless_fold_is_the_clean_mesh(self, rng):
+        # At NoiseModel() the fold is U rho U^T: a pure state stays pure.
+        net = QuantumNetwork(6, 3).initialize("uniform", rng=rng)
+        prog = compile_program(net)
+        params = net.get_flat_params()
+        a = rng.normal(size=6)
+        a /= np.linalg.norm(a)
+        got = noisy_program_rho(prog, params, np.outer(a, a), NoiseModel())
+        b = clean_mesh_matrix(prog, params) @ a
+        assert np.max(np.abs(got - np.outer(b, b))) <= 1e-12
+        assert float(np.trace(got @ got)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_jitter_keeps_trace_and_psd_and_mixes(self, rng):
+        net = QuantumNetwork(6, 3).initialize("uniform", rng=rng)
+        a = rng.normal(size=6)
+        a /= np.linalg.norm(a)
+        got = noisy_program_rho(
+            net, net.get_flat_params(), np.outer(a, a),
+            NoiseModel(theta_sigma=0.2),
+        )
+        assert float(np.trace(got)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(got).min() > -1e-12
+        assert float(np.trace(got @ got)) < 1.0 - 1e-6
+
+    def test_network_and_program_agree(self, rng):
+        net = QuantumNetwork(6, 3).initialize("uniform", rng=rng)
+        params = net.get_flat_params()
+        rho = _random_rho(6, 11).real.copy()
+        model = NoiseModel(theta_sigma=0.05, loss_per_gate=0.02)
+        from_net = noisy_program_rho(net, params, rho.copy(), model)
+        from_prog = noisy_program_rho(compile_program(net), params, rho, model)
+        assert np.array_equal(from_net, from_prog)
+
+    def test_allow_phase_rejected(self, rng):
+        net = QuantumNetwork(4, 2, allow_phase=True)
+        net.initialize("uniform", rng=rng)
+        with pytest.raises(NoiseError, match="phase"):
+            noisy_program_rho(
+                net, net.get_flat_params(), np.eye(4) / 4, NoiseModel()
+            )
+
+
+SINGLE_EFFECTS = {
+    "jitter": NoiseModel(theta_sigma=0.2),
+    "loss": NoiseModel(loss_per_gate=0.05),
+    "dephasing": NoiseModel(dephasing=0.3),
+    "depolarizing": NoiseModel(depolarizing=0.3),
+}
+
+
+class TestDensityForwardBounds:
+    """Each effect alone: fidelity in [0, 1], readout probabilities that
+    sum to the transmission, and no effect that adds probability."""
+
+    @pytest.mark.parametrize("name", list(SINGLE_EFFECTS))
+    def test_fidelity_and_transmission_in_unit_interval(
+        self, codec, expected, name
+    ):
+        ae = codec.autoencoder
+        amplitudes = ae.codec.encode(expected["X"]).amplitudes()
+        result = density_forward(ae, amplitudes, SINGLE_EFFECTS[name])
+        ideal = density_forward(ae, amplitudes, NoiseModel())
+        assert np.all((result.fidelity >= 0.0) & (result.fidelity <= 1.0))
+        assert result.fidelity.mean() < 1.0 - 1e-9
+        assert np.all(result.probabilities >= 0.0)
+        assert np.allclose(
+            result.probabilities.sum(axis=0), result.transmission, atol=1e-12
+        )
+        assert np.all(result.transmission > 0.0)
+        assert np.all(result.transmission <= 1.0 + 1e-12)
+        if name == "loss":
+            assert np.all(result.transmission < ideal.transmission)
+        elif name != "jitter":
+            # The wire channels act after the projection and keep trace.
+            assert np.allclose(
+                result.transmission, ideal.transmission, atol=1e-12
+            )
