@@ -33,13 +33,16 @@ import numpy as np
 
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
-from repro.training.gradients import loss_and_gradient
+from repro.training.gradients import (
+    available_gradient_methods,
+    loss_and_gradient,
+)
 
 PAPER_DIM = 16
 PAPER_LAYERS = {"uc": 12, "ur": 14}
 PAPER_M = 25
 FORWARD_WIDTHS = [64, 512, 4096]
-GRADIENT_METHODS = ["fd", "central", "derivative", "adjoint"]
+GRADIENT_METHODS = available_gradient_methods()
 BACKENDS = ["loop", "fused"]
 
 SPEEDUP_FLOOR = 5.0

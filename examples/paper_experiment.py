@@ -18,6 +18,7 @@ import argparse
 
 from repro.experiments import PaperConfig, run_fig4
 from repro.experiments.reporting import render_fig4
+from repro.training import available_gradient_methods
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--gradient",
-        choices=["fd", "central", "derivative", "adjoint"],
+        choices=available_gradient_methods(),
         default="adjoint",
         help="'fd' is the paper's forward finite differences (slow)",
     )

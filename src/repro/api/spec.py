@@ -263,7 +263,9 @@ class CodecSpec:
         fail loudly, not half-load), and so is a value whose JSON type
         does not fit its field.  ``grad_engine``, a removed field that
         older checkpoints carry, is dropped when it holds one of the two
-        values it accepted (``"batched"``, ``"looped"``).
+        values it accepted (``"batched"``, ``"looped"``); a stored
+        ``gradient_method="derivative"`` (a removed method that computed
+        the same exact gradient) loads as ``"adjoint"``.
 
         >>> CodecSpec.from_dict({"dim": "4"})
         Traceback (most recent call last):
@@ -283,6 +285,8 @@ not accept '4'
                 f"unknown gradient engine {legacy!r}; checkpoints carried "
                 "'batched' or 'looped'"
             )
+        if kwargs.get("gradient_method") == "derivative":
+            kwargs["gradient_method"] = "adjoint"
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known
         if unknown:

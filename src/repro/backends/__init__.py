@@ -19,8 +19,7 @@ This package separates network *structure* from *execution*:
   (``"sharded"`` / ``"sharded:K"``), in-process fused fallback for
   narrow ones;
 - :mod:`repro.backends.cached` — :class:`PrefixSuffixWorkspace`, the
-  ``O(P)``-gate-work engine behind cached ``fd``/``central``/
-  ``derivative`` gradients.
+  ``O(P)``-gate-work engine behind cached ``fd``/``central`` gradients.
 
 See ``docs/backends.md`` for the architecture note and the caching math.
 

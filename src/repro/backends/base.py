@@ -16,7 +16,7 @@ Three backends ship with the package:
     :class:`~repro.backends.fused.FusedBackend` — materialises the whole
     network as one ``N x N`` unitary (cached per parameter set) and applies
     it as a single GEMM; also provides the prefix/suffix gradient workspace
-    used to accelerate the ``fd``/``central``/``derivative`` methods.
+    used to accelerate the ``fd``/``central`` methods.
 ``"sharded"``
     :class:`~repro.backends.sharded.ShardedBackend` — scatters wide
     ``(N, M)`` batches over a persistent multi-process

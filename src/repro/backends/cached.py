@@ -1,4 +1,4 @@
-"""Prefix/suffix caching for perturbative and forward-mode gradients.
+"""Prefix/suffix caching for finite-difference gradients.
 
 The paper trains with per-parameter finite differences (Eq. 8): every
 gradient evaluation perturbs one parameter and re-runs the whole circuit,
@@ -29,22 +29,19 @@ where ``G_i' - G_i`` is zero outside the gate's ``2 x 2`` block.  So with
 each perturbed output costs one ``(2 x 2) @ (2 x M)`` product plus one
 ``(N x 2) @ (2 x M)`` product — ``O(N M)`` instead of ``O(P N M)``.  A full
 finite-difference gradient drops from ``O(P^2 M)`` gate work to
-``O(P (N + M) N)``, and the exact ``"derivative"`` forward mode gets the
-same speedup (its derivative gate zeroes everything outside the block, so
-its output is just ``S_i (dG_i) (P_i X)`` with no base term).
+``O(P (N + M) N)``.
 
 :class:`PrefixSuffixWorkspace` records all three artefacts for one
 ``(parameters, inputs)`` pair; :mod:`repro.training.gradients` builds one
-per ``fd``/``central``/``derivative`` gradient evaluation when the
-network's backend advertises ``supports_cached_gradients`` (the exact
+per ``fd``/``central`` gradient evaluation when the network's backend
+advertises ``supports_cached_gradients`` (the exact
 ``adjoint`` method needs no suffix columns: its sweep pulls the adjoint
 back a layer at a time, see :func:`repro.training.gradients.adjoint_sweep`).
 
 **Batched contractions.**  Run one parameter at a time, the products
-above would still be a Python loop over ``P`` parameters.  The workspace
-methods (:meth:`PrefixSuffixWorkspace.perturbed_outputs`,
-:meth:`PrefixSuffixWorkspace.derivative_gradients`) stack the ``(2 x 2)``
-blocks of many parameters into ``(P, 2, 2)`` arrays and contract them
+above would still be a Python loop over ``P`` parameters.
+:meth:`PrefixSuffixWorkspace.perturbed_outputs` stacks the ``(2 x 2)``
+blocks of many parameters into ``(P, 2, 2)`` arrays and contracts them
 against the gathered prefix rows ``(P, 2, M)`` and suffix columns
 ``(P, N, 2)`` in single einsums, so a full gradient pass costs
 ``O(num_layers)`` batched GEMM-like contractions instead of ``O(P)``
@@ -76,7 +73,7 @@ ELEMENT_BUDGET = 4_000_000
 
 
 # ----------------------------------------------------------------------
-# stacked 2x2 block builders (vectorised over parameters)
+# stacked 2x2 block builder (vectorised over parameters)
 # ----------------------------------------------------------------------
 def _gate_blocks(
     thetas: np.ndarray, alphas: np.ndarray, complex_: bool
@@ -100,37 +97,6 @@ def _gate_blocks(
     b[:, 0, 1] = -s
     b[:, 1, 0] = phase * s
     b[:, 1, 1] = c
-    return b
-
-
-def _dtheta_blocks(
-    thetas: np.ndarray, alphas: np.ndarray, complex_: bool
-) -> np.ndarray:
-    """Stacked ``dT/dtheta`` blocks (cf. ``dmatrix2_dtheta``)."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    if not complex_:
-        b = np.empty((c.size, 2, 2), dtype=np.float64)
-        b[:, 0, 0] = -s
-        b[:, 0, 1] = -c
-        b[:, 1, 0] = c
-        b[:, 1, 1] = -s
-        return b
-    phase = np.cos(alphas) + 1j * np.sin(alphas)
-    b = np.empty((c.size, 2, 2), dtype=np.complex128)
-    b[:, 0, 0] = -phase * s
-    b[:, 0, 1] = -c
-    b[:, 1, 0] = phase * c
-    b[:, 1, 1] = -s
-    return b
-
-
-def _dalpha_blocks(thetas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Stacked ``dT/dalpha`` blocks (cf. ``dmatrix2_dalpha``)."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    dphase = 1j * (np.cos(alphas) + 1j * np.sin(alphas))
-    b = np.zeros((c.size, 2, 2), dtype=np.complex128)
-    b[:, 0, 0] = dphase * c
-    b[:, 1, 0] = dphase * s
     return b
 
 
@@ -311,8 +277,8 @@ class PrefixSuffixWorkspace:
     def layer_param_chunks(self) -> Iterator[np.ndarray]:
         """Flat-parameter index groups, one per ``(layer, parameter kind)``.
 
-        Iterating these chunks through :meth:`perturbed_outputs` or
-        :meth:`derivative_gradients` covers every trainable parameter in
+        Iterating these chunks through :meth:`perturbed_outputs` covers
+        every trainable parameter in
         ``num_layers`` (``x 2`` with phases) batched contractions while
         bounding peak memory at one ``(N-1, N, M)`` stack.
         """
@@ -394,40 +360,6 @@ class PrefixSuffixWorkspace:
         out = np.matmul(suffix, d)
         out += base[None, :, :]
         return out
-
-    def derivative_gradients(
-        self, param_indices: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
-        """``Re <lam, S_i dG_i (P_i X)>`` for each listed parameter.
-
-        ``lam`` is the output-side loss gradient (``Loss.dvalue``, already
-        projected when training with ``P1``); the contraction folds ``lam``
-        through the suffix columns first, so the ``(P, N, M)`` derivative
-        stack is never materialised — each chunk costs ``O(P (N + M))``.
-        """
-        _, gates, ti, wrt_alpha = self._resolve_many(param_indices)
-        d = np.matmul(
-            self._derivative_blocks(ti, wrt_alpha), self.row_tape[gates]
-        )
-        # conj((S^H lam))[j, m] contracted with (dG r)[j, m]
-        lt = np.matmul(
-            self.suffix_cols[gates].transpose(0, 2, 1), np.conj(lam)
-        )
-        return np.real(np.einsum("pjm,pjm->p", lt, d)).astype(
-            np.float64, copy=False
-        )
-
-    def _derivative_blocks(
-        self, theta_idx: np.ndarray, wrt_alpha: np.ndarray
-    ) -> np.ndarray:
-        th = self._thetas[theta_idx]
-        al = self._alphas[theta_idx]
-        blocks = _dtheta_blocks(th, al, bool(self.program.allow_phase))
-        if np.any(wrt_alpha):
-            blocks = np.where(
-                wrt_alpha[:, None, None], _dalpha_blocks(th, al), blocks
-            )
-        return blocks
 
     def __repr__(self) -> str:
         n, m = self.base_output.shape

@@ -18,9 +18,9 @@ copied only when they are refolded.  The backend keeps the per-layer
 unitaries of that fold (:meth:`FusedBackend.layer_unitaries`) and, while
 the parameters still match, serves them (:meth:`FusedBackend.cached_mesh`) to the reverse-mode
 adjoint sweep of :mod:`repro.training.gradients` and, with the
-recurrence columns, to the prefix/suffix workspace of the ``fd``,
-``central`` and ``derivative`` methods — so a training step folds each
-parameter set once (see ``docs/gradients.md``).
+recurrence columns, to the prefix/suffix workspace of the ``fd`` and
+``central`` methods — so a training step folds each parameter set once
+(see ``docs/gradients.md``).
 """
 
 from __future__ import annotations

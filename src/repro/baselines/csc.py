@@ -61,9 +61,6 @@ class CSCHistory:
     def num_iterations(self) -> int:
         return len(self.loss)
 
-    def min_loss(self) -> float:
-        return min(self.loss) if self.loss else float("nan")
-
 
 class CSCCompressor:
     """Sparse-coding image compressor (``y = D s``, paper Section IV-C).

@@ -141,9 +141,3 @@ class DCTCompressor:
         squeeze = np.asarray(images).ndim == 2
         out = np.clip(out, 0.0, 1.0)
         return out[0] if squeeze else out
-
-    def compression_error(self, images: np.ndarray) -> float:
-        """Total squared pixel error of the round trip."""
-        arr = self._check(images)
-        out = self.reconstruct(arr)
-        return float(np.sum((out - arr) ** 2))

@@ -93,14 +93,3 @@ class PCACompressor:
         recon = self.components.T @ codes + self.mean
         assert self._squared_norms is not None
         return (np.abs(recon) * np.sqrt(self._squared_norms)[None, :]).T
-
-    def explained_energy(self, X: np.ndarray) -> float:
-        """Fraction of squared amplitude captured by the kept components."""
-        if self.components is None or self.mean is None:
-            raise BaselineError("PCACompressor must be fit first")
-        y = self._encode(X) - self.mean
-        total = float(np.sum(y**2))
-        if total <= 0:
-            raise BaselineError("data has zero energy")
-        kept = float(np.sum((self.components @ y) ** 2))
-        return kept / total

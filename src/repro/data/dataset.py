@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.encoding.images import flatten_images, unflatten_images
+from repro.encoding.images import flatten_images
 from repro.exceptions import DatasetError
 from repro.utils.rng import ensure_rng
 
@@ -162,13 +162,6 @@ class ImageDataset:
                 f"subset indices out of range [0, {self.num_samples})"
             )
         return ImageDataset(self.images[idx], f"{self.name}-subset")
-
-    @classmethod
-    def from_matrix(
-        cls, X: np.ndarray, name: str = "dataset"
-    ) -> "ImageDataset":
-        """Build from an ``(M, N)`` matrix with ``N`` a perfect square."""
-        return cls(unflatten_images(np.asarray(X, dtype=np.float64)), name)
 
     def __len__(self) -> int:
         return self.num_samples

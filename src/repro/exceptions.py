@@ -14,7 +14,6 @@ __all__ = [
     "EncodingError",
     "NormalizationError",
     "GateError",
-    "CircuitError",
     "ProjectionError",
     "NetworkConfigError",
     "BackendError",
@@ -22,8 +21,6 @@ __all__ = [
     "GradientError",
     "OptimizerError",
     "DatasetError",
-    "DecompositionError",
-    "MeasurementError",
     "NoiseError",
     "SerializationError",
     "ServingError",
@@ -64,10 +61,6 @@ class GateError(ReproError, ValueError):
     """A quantum gate was constructed or applied with invalid arguments."""
 
 
-class CircuitError(ReproError, ValueError):
-    """A gate sequence is inconsistent (mode out of range, dim mismatch...)."""
-
-
 class ProjectionError(ReproError, ValueError):
     """An invalid compression projection ``P1``/``P0`` was requested."""
 
@@ -94,14 +87,6 @@ class OptimizerError(TrainingError):
 
 class DatasetError(ReproError, ValueError):
     """A dataset is malformed (wrong dtype, empty, inconsistent shapes)."""
-
-
-class DecompositionError(ReproError, ValueError):
-    """A unitary could not be decomposed into a beamsplitter mesh."""
-
-
-class MeasurementError(ReproError, ValueError):
-    """A measurement was requested with invalid arguments (e.g. shots <= 0)."""
 
 
 class NoiseError(ReproError, ValueError):

@@ -283,8 +283,8 @@ def complex_network_study(
     """Section V extension: real network vs trainable-phase (alpha) network.
 
     Both variants train with the configured gradient method — the adjoint
-    tape pulls back through ``G^dagger``, so the complex network no longer
-    needs the slower derivative-gate fallback.
+    tape pulls back through ``G^dagger``, so it serves the complex network
+    as it does the real one.
     """
     cfg = config or PaperConfig()
     records = []

@@ -63,6 +63,7 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.table1 import run_table1
 from repro.io.results_io import load_results, save_results
+from repro.training.gradients import available_gradient_methods
 
 __all__ = ["build_parser", "main"]
 
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="momentum")
         p.add_argument(
             "--gradient",
-            choices=["fd", "central", "derivative", "adjoint"],
+            choices=available_gradient_methods(),
             default="adjoint",
             help="'fd' is the paper's finite differences (slow)",
         )

@@ -9,7 +9,7 @@ The network owns one float64 parameter array of shape
 ``(1 + allow_phase, num_layers, N-1)`` (thetas, then alphas); each layer's
 :attr:`GateLayer.thetas` / ``.alphas`` is a row of it, and its C-order
 ravel is the *flat parameter vector* layout of `get_flat_params` /
-`set_flat_params`, which the optimizers and all four gradient methods use.
+`set_flat_params`, which the optimizers and every gradient method use.
 Caches (the ``fused`` fold, the gradient workspaces, pool workers) compare
 that live array with their snapshot, so a direct ``layer.thetas`` edit is
 seen without a concatenation.  The exact adjoint gradient needs no traced

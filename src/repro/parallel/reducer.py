@@ -7,8 +7,8 @@ does the same for *training*.  A
 :func:`repro.training.gradients.loss_and_gradient` in parallel:
 
 - **Batch sharding** (``shard="batch"``, the default for the exact
-  ``adjoint``/``derivative`` methods): the ``(N, M)`` sample batch is
-  split into column shards, each worker computes its shard's
+  ``adjoint`` method): the ``(N, M)`` sample batch is split into
+  column shards, each worker computes its shard's
   ``(loss, grad)`` with the full gradient engine stack (adjoint sweep,
   prefix/suffix workspace), and the shard results are
   combined with batch-size weights.
@@ -218,22 +218,12 @@ def _param_shard_task(payload: Tuple) -> Tuple[float, np.ndarray]:
     (struct, params, inputs, targets, loss, keep, method, delta, lo, hi) = (
         payload
     )
-    from repro.training.gradients import (
-        _project_and_eval,
-        _workspace_loss_and_adjoint,
-    )
+    from repro.training.gradients import _project_and_eval
 
     net = _worker_network(struct, params)
     projection = _worker_projection(struct[0], keep)
     ws = net.backend.gradient_workspace(inputs)
     grad = np.empty(hi - lo)
-    if method == "derivative":
-        base, lam = _workspace_loss_and_adjoint(ws, targets, loss, projection)
-        for idx in ws.param_chunks():
-            sub = idx[(idx >= lo) & (idx < hi)]
-            if sub.size:
-                grad[sub - lo] = ws.derivative_gradients(sub, lam)
-        return base, grad
     central = method == "central"
     mask = projection.mask if projection is not None else None
     base = _project_and_eval(
@@ -342,7 +332,7 @@ class GradientReducer:
     def _default_shard(method: str) -> str:
         """fd/central difference per-shard base losses under batch
         sharding (cancellation noise ``~ulp(loss)/delta``), so they shard
-        the perturbation stack instead; the exact methods shard samples."""
+        the perturbation stack instead; the exact adjoint shards samples."""
         return "params" if method in ("fd", "central") else "batch"
 
     def loss_and_gradient(
@@ -361,7 +351,7 @@ class GradientReducer:
 
         ``shard`` picks the scatter axis — ``"batch"`` (column shards)
         or ``"params"`` (perturbation-stack slices); ``None`` selects
-        per method (``fd``/``central`` -> params, exact methods ->
+        per method (``fd``/``central`` -> params, ``adjoint`` ->
         batch).  Single-worker reducers and single-shard plans run
         in-process, bit-identical to the plain engine.
         """

@@ -18,7 +18,7 @@ bounded relative error set by ``buckets_per_decade``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = ["LatencyHistogram"]
 
@@ -84,11 +84,6 @@ class LatencyHistogram:
     def count(self) -> int:
         """Total samples recorded (monotone non-decreasing)."""
         return self._count
-
-    @property
-    def bucket_counts(self) -> Sequence[int]:
-        """Per-bucket counts, the last entry being the overflow bucket."""
-        return tuple(self._counts)
 
     def record(self, seconds: float) -> None:
         """Add one sample (negative values clamp to zero)."""

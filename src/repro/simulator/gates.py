@@ -201,6 +201,3 @@ class BeamsplitterGate:
             )
         return BeamsplitterGate(self.mode, -self.theta)
 
-    def with_theta(self, theta: float) -> "BeamsplitterGate":
-        return BeamsplitterGate(self.mode, theta, self.alpha)
-

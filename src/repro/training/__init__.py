@@ -3,9 +3,8 @@
 - :mod:`~repro.training.loss` — the complete-square-variance losses ``L_C``
   and ``L_R`` (Eq. 5) plus fidelity/MSE variants;
 - :mod:`~repro.training.gradients` — the paper's forward finite differences
-  (Eq. 8, ``Delta = 1e-8``) and three higher-fidelity alternatives
-  (central differences, exact derivative-gate forward mode, exact adjoint
-  reverse mode);
+  (Eq. 8, ``Delta = 1e-8``) and two higher-fidelity alternatives
+  (central differences, exact adjoint reverse mode);
 - :mod:`~repro.training.optimizers` — plain gradient descent (Eq. 9),
   momentum, Adam, and learning-rate schedules;
 - :mod:`~repro.training.trainer` — the independent ``U_C``-then-``U_R``

@@ -1,6 +1,6 @@
 """Gradient methods for quantum-network training.
 
-Four interchangeable methods compute ``(loss, dL/dparams)`` for a network
+Three interchangeable methods compute ``(loss, dL/dparams)`` for a network
 output ``P1 U(params) X`` (compression) or ``U(params) X`` (reconstruction)
 against target amplitudes:
 
@@ -12,40 +12,32 @@ against target amplitudes:
 ``"central"``
     Central differences with ``Delta = 1e-6``; one extra forward pass per
     parameter buys ~1e-9 accuracy.
-``"derivative"``
-    Exact forward-mode: re-runs the circuit with gate ``g`` replaced by its
-    parameter derivative (for the real Givens gate,
-    ``dG/dtheta = G(theta + pi/2)`` restricted to the 2x2 block and zero
-    elsewhere).  Exact to float64; cost ``num_params + 1`` passes.
 ``"adjoint"``
     Exact reverse-mode: one forward chain + one backward sweep for *all*
     parameters, over *layer* adjoint states — one GEMM per layer each way
     plus in-layer recurrences, for ``K`` parameter sets at once
-    (:func:`adjoint_sweep`) — on any backend.  Agrees with
-    ``"derivative"`` to rounding.  Supports complex (``allow_phase``)
-    networks: the sweep pulls the adjoint back through ``G^dagger`` and
-    reads off both the ``theta`` and ``alpha`` gradients from the same
-    tapes.
+    (:func:`adjoint_sweep`) — on any backend.  Exact to float64.  Supports
+    complex (``allow_phase``) networks: the sweep pulls the adjoint back
+    through ``G^dagger`` and reads off both the ``theta`` and ``alpha``
+    gradients from the same tapes.
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
 
 **Backend acceleration.**  When the network's execution backend advertises
-``supports_cached_gradients`` (the ``"fused"`` backend does), the ``fd``,
-``central`` and ``derivative`` methods run on a
+``supports_cached_gradients`` (the ``"fused"`` backend does), the ``fd``
+and ``central`` methods run on a
 :class:`~repro.backends.cached.PrefixSuffixWorkspace`: perturbing
 parameter ``i`` changes only ``suffix_i @ G_i' @ prefix_i``, and the
 workspace stacks all of a layer's perturbations into single einsums
-(:meth:`~repro.backends.cached.PrefixSuffixWorkspace.perturbed_outputs` /
-:meth:`~repro.backends.cached.PrefixSuffixWorkspace.derivative_gradients`)
+(:meth:`~repro.backends.cached.PrefixSuffixWorkspace.perturbed_outputs`)
 scored by one vectorised :meth:`Loss.value_many` call —
 ``O(num_layers)`` batched contractions per gradient instead of ``O(P^2)``
 gate work.  The cached path never mutates the network's parameters and
-agrees with the re-execution path up to the method's own rounding floor
-(exactly for ``derivative``; within the finite-difference cancellation
-noise ``~ulp(loss)/delta`` for ``fd``/``central``).  The ``"loop"``
-backend always takes the bit-exact re-execution path.  See
-``docs/gradients.md`` for the method x backend matrix.
+agrees with the re-execution path within the finite-difference
+cancellation noise ``~ulp(loss)/delta``.  The ``"loop"`` backend always
+takes the bit-exact re-execution path.  See ``docs/gradients.md`` for the
+method x backend matrix.
 """
 
 from __future__ import annotations
@@ -123,17 +115,6 @@ def _checked_problem(
     return arr, tgt, loss
 
 
-def _projected_output(
-    network: QuantumNetwork,
-    inputs: np.ndarray,
-    projection: Optional[Projection],
-) -> np.ndarray:
-    out = network.forward(inputs)
-    if projection is not None:
-        projection.apply_inplace(out)
-    return out
-
-
 def _evaluate(
     network: QuantumNetwork,
     inputs: np.ndarray,
@@ -141,7 +122,9 @@ def _evaluate(
     loss: Loss,
     projection: Optional[Projection],
 ) -> float:
-    return loss.value(_projected_output(network, inputs, projection), targets)
+    return _project_and_eval(
+        network.forward(inputs), targets, loss, projection
+    )
 
 
 def _workspace_or_none(network: QuantumNetwork, inputs: np.ndarray):
@@ -263,122 +246,6 @@ def _loss_and_grad_central(
             params[i] = original
     finally:
         network.set_flat_params(params)
-    return base, grad
-
-
-def _forward_with_derivative_gate(
-    network: QuantumNetwork,
-    inputs: np.ndarray,
-    target_layer: int,
-    target_gate: int,
-    wrt_alpha: bool,
-) -> np.ndarray:
-    """Forward pass with one gate replaced by its parameter derivative.
-
-    The derivative of the *embedded* gate matrix is zero outside the 2x2
-    block, so after the derivative gate only rows ``(k, k+1)`` carry signal
-    and every other row is zeroed.
-    """
-    data = np.array(inputs, dtype=network.result_dtype(inputs), copy=True)
-    from repro.simulator.gates import apply_givens_batch
-
-    for p, layer in enumerate(network.layers):
-        alphas = layer.alphas
-        for k in layer.mode_sequence():
-            k = int(k)
-            theta = float(layer.thetas[k])
-            alpha = 0.0 if alphas is None else float(alphas[k])
-            if p == target_layer and k == target_gate:
-                r0 = data[k].copy()
-                r1 = data[k + 1].copy()
-                data[:] = 0
-                c, s = math.cos(theta), math.sin(theta)
-                if not wrt_alpha:
-                    if alpha == 0.0:
-                        # dG/dtheta = [[-s, -c], [c, -s]]
-                        data[k] = -s * r0 - c * r1
-                        data[k + 1] = c * r0 - s * r1
-                    else:
-                        phase = complex(math.cos(alpha), math.sin(alpha))
-                        data[k] = -phase * s * r0 - c * r1
-                        data[k + 1] = phase * c * r0 - s * r1
-                else:
-                    dphase = 1j * complex(math.cos(alpha), math.sin(alpha))
-                    data[k] = dphase * c * r0
-                    data[k + 1] = dphase * s * r0
-            else:
-                apply_givens_batch(data, k, theta, alpha=alpha)
-    return data
-
-
-def _workspace_loss_and_adjoint(
-    ws,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-) -> Tuple[float, np.ndarray]:
-    """Base loss and (projected) output-side adjoint from a workspace."""
-    out = ws.base_output.copy()
-    if projection is not None:
-        projection.apply_inplace(out)
-    base = loss.value(out, targets)
-    lam = loss.dvalue(out, targets)
-    if projection is not None:
-        lam = projection.apply(lam)
-    return base, lam
-
-
-def _batched_derivative_grad(
-    ws,
-    num_params: int,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-) -> Tuple[float, np.ndarray]:
-    """Exact forward-mode, one suffix-folded contraction per layer.
-
-    ``lam`` is already projected, and the projection is a diagonal 0/1
-    mask, so ``<P lam, P dout> == <P lam, dout>`` — the derivative stacks
-    never need masking (or materialising; see
-    :meth:`PrefixSuffixWorkspace.derivative_gradients`).
-    """
-    base, lam = _workspace_loss_and_adjoint(ws, targets, loss, projection)
-    grad = np.empty(num_params)
-    for idx in ws.param_chunks():
-        grad[idx] = ws.derivative_gradients(idx, lam)
-    return base, grad
-
-
-def _loss_and_grad_derivative(
-    network: QuantumNetwork,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    loss: Loss,
-    projection: Optional[Projection],
-    delta: float,  # unused; kept for signature parity
-) -> Tuple[float, np.ndarray]:
-    """Exact forward-mode via per-parameter derivative-gate passes."""
-    ws = _workspace_or_none(network, inputs)
-    if ws is not None:
-        return _batched_derivative_grad(
-            ws, network.num_parameters, targets, loss, projection
-        )
-    out = _projected_output(network, inputs, projection)
-    base = loss.value(out, targets)
-    lam = loss.dvalue(out, targets)
-    if projection is not None:
-        lam = projection.apply(lam)
-    grad = np.zeros(network.num_parameters)
-    for i in range(network.num_parameters):
-        # Flat layout: thetas then alphas, each layer-major.
-        wrt_alpha, j = divmod(i, network.num_thetas)
-        p, k = divmod(j, network.gates_per_layer)
-        dout = _forward_with_derivative_gate(
-            network, inputs, p, k, bool(wrt_alpha)
-        )
-        if projection is not None:
-            projection.apply_inplace(dout)
-        grad[i] = float(np.real(np.sum(np.conj(lam) * dout)))
     return base, grad
 
 
@@ -688,14 +555,12 @@ def _loss_and_grad_adjoint(
 _METHODS: Dict[str, GradFn] = {
     "fd": _loss_and_grad_fd,
     "central": _loss_and_grad_central,
-    "derivative": _loss_and_grad_derivative,
     "adjoint": _loss_and_grad_adjoint,
 }
 
 _DEFAULT_DELTAS: Dict[str, float] = {
     "fd": PAPER_DELTA,
     "central": 1e-6,
-    "derivative": 0.0,
     "adjoint": 0.0,
 }
 
@@ -733,10 +598,10 @@ def loss_and_gradient(
         ``P1`` applied between the network and the loss (compression
         training); ``None`` for reconstruction training.
     method:
-        One of ``"fd"``, ``"central"``, ``"derivative"``, ``"adjoint"``.
+        One of :func:`available_gradient_methods`.
     delta:
         FD step; defaults to the paper's ``1e-8`` for ``"fd"`` and ``1e-6``
-        for ``"central"``; ignored by the exact methods.
+        for ``"central"``; ignored by ``"adjoint"``.
 
     Examples
     --------
@@ -745,8 +610,8 @@ def loss_and_gradient(
     >>> x = np.eye(4)[:, :2]
     >>> t = np.eye(4)[:, 2:4]
     >>> l1, g1 = loss_and_gradient(net, x, t, method="adjoint")
-    >>> l2, g2 = loss_and_gradient(net, x, t, method="derivative")
-    >>> bool(np.allclose(g1, g2, atol=1e-10))
+    >>> l2, g2 = loss_and_gradient(net, x, t, method="central")
+    >>> bool(np.allclose(g1, g2, atol=1e-8))
     True
     """
     key = str(method).lower()

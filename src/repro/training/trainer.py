@@ -30,7 +30,7 @@ from repro.network.targets import (
     TruncatedInputTarget,
 )
 from repro.training.callbacks import Callback, NaNGuard
-from repro.training.gradients import loss_and_gradient
+from repro.training.gradients import _METHODS, loss_and_gradient
 from repro.training.loss import SquaredErrorLoss
 from repro.training.metrics import paper_accuracy, pixel_accuracy
 from repro.training.optimizers import GradientDescent, Optimizer
@@ -201,8 +201,8 @@ class Trainer:
         ``eta`` — the paper uses 0.01 (with mean-normalised gradients, per
         Algorithm 1's ``/(M x N)``).
     gradient_method:
-        ``"fd"`` (paper), ``"central"``, ``"derivative"`` or ``"adjoint"``
-        (default: the exact fast path).
+        ``"fd"`` (paper), ``"central"`` or ``"adjoint"`` (default: the
+        exact fast path).
     schedule:
         ``"joint"`` (Algorithm 1: both nets updated each iteration) or
         ``"sequential"`` (U_C fully first).
@@ -220,8 +220,8 @@ class Trainer:
         Execution backend applied to both networks at the start of
         :meth:`train` (``"loop"``, ``"fused"``, see :mod:`repro.backends`);
         ``None`` keeps whatever backend the autoencoder already uses.  The
-        fused backend accelerates the perturbative gradient methods
-        (``fd``/``central``/``derivative``) via prefix/suffix caching.
+        fused backend accelerates the finite-difference gradient methods
+        (``fd``/``central``) via prefix/suffix caching.
     parallel:
         Data-parallel gradient execution: ``None`` (single-process,
         default), ``"pool"`` (one worker per usable CPU) or ``"pool:K"``
@@ -288,6 +288,11 @@ class Trainer:
             raise TrainingError(
                 f"record_theta_every must be >= 1 or None, got "
                 f"{record_theta_every}"
+            )
+        if str(gradient_method).lower() not in _METHODS:
+            raise TrainingError(
+                f"unknown gradient method {gradient_method!r}; available: "
+                f"{sorted(_METHODS)}"
             )
         self.iterations = int(iterations)
         self.learning_rate = float(learning_rate)

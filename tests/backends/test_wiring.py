@@ -106,7 +106,7 @@ class TestAutoencoderWiring:
 
 
 class TestTrainerWiring:
-    @pytest.mark.parametrize("method", ["fd", "derivative", "adjoint"])
+    @pytest.mark.parametrize("method", ["fd", "central", "adjoint"])
     def test_fused_training_matches_loop(self, method):
         X = np.array(
             [[1.0, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]

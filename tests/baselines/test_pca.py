@@ -24,15 +24,21 @@ class TestPCACompressor:
         x_hat = pca.reconstruct(paper_images)
         assert not np.allclose(x_hat, paper_images, atol=1e-3)
 
-    def test_explained_energy_increases_with_d(self, paper_images):
-        energies = [
-            PCACompressor(num_components=d)
-            .fit(paper_images)
-            .explained_energy(paper_images)
+    def test_reconstruction_error_decreases_with_d(self, paper_images):
+        errors = [
+            np.sum(
+                (
+                    PCACompressor(num_components=d)
+                    .fit(paper_images)
+                    .reconstruct(paper_images)
+                    - paper_images
+                )
+                ** 2
+            )
             for d in (1, 2, 4)
         ]
-        assert energies[0] <= energies[1] <= energies[2]
-        assert energies[2] == pytest.approx(1.0)
+        assert errors[0] >= errors[1] >= errors[2]
+        assert errors[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_fit(self, paper_images):
         with pytest.raises(BaselineError, match="fit"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ImageDataset
+from repro.encoding.images import unflatten_images
 from repro.exceptions import DatasetError
 
 
@@ -50,9 +51,9 @@ class TestMatrixAndImages:
     def test_matrix_shape(self, ds):
         assert ds.matrix().shape == (10, 16)
 
-    def test_from_matrix_roundtrip(self, ds):
-        clone = ImageDataset.from_matrix(ds.matrix())
-        assert np.allclose(clone.images, ds.images)
+    def test_matrix_roundtrip(self, ds):
+        clone = ImageDataset(unflatten_images(ds.matrix()))
+        assert np.array_equal(clone.images, ds.images)
 
     def test_image_copy(self, ds):
         img = ds.image(0)

@@ -3,9 +3,9 @@ tested against.
 
 The library drives every gradient one way: the layer-level adjoint sweep
 (``method="adjoint"``) and the prefix/suffix workspace's batched
-contractions (``fd``/``central``/``derivative`` on the ``fused``
-backend).  This module keeps the one-parameter / one-gate walks those
-replaced, for the tests only:
+contractions (``fd``/``central`` on the ``fused`` backend).  This module
+keeps the one-parameter / one-gate walks those replaced, for the tests
+only:
 
 - :func:`reference_workspace` builds a workspace's base output, prefix-row
   tape and suffix columns by a per-gate traced forward pass and a per-gate
@@ -16,7 +16,12 @@ replaced, for the tests only:
 - :func:`looped_loss_and_gradient` is ``loss_and_gradient`` driven one
   parameter at a time over the backend's own workspace (so it differs
   from the batched contractions by reassociation only), and, for
-  ``"adjoint"``, by a per-gate walk over the reference tape.
+  ``"adjoint"``, by a per-gate walk over the reference tape.  It also
+  takes ``method="derivative"``, an exact forward mode the library does
+  not have: each parameter's derivative-gate output ``S_i dG_i P_i X``
+  read off the backend's workspace, or off :func:`reference_workspace`
+  on a backend without one, so it is the independent check of
+  ``"adjoint"``.
 
 Tests import it as ``gradient_oracle`` (this directory is on ``sys.path``
 next to ``conftest.py``).
@@ -39,7 +44,6 @@ from repro.training.gradients import (
     _adjoint_loss_and_lambda,
     _checked_problem,
     _project_and_eval,
-    _workspace_loss_and_adjoint,
     loss_and_gradient,
 )
 from repro.training.loss import Loss
@@ -163,7 +167,7 @@ def perturbed_output(ws, param_index: int, delta: float) -> np.ndarray:
     if wrt_alpha:
         block = BeamsplitterGate(0, base.theta, base.alpha + delta).matrix2()
     else:
-        block = base.with_theta(base.theta + delta).matrix2()
+        block = BeamsplitterGate(0, base.theta + delta, base.alpha).matrix2()
     return output_with_block(ws, gate, block)
 
 
@@ -212,8 +216,15 @@ def _looped_derivative_grad(
     loss: Loss,
     projection: Optional[Projection],
 ) -> Tuple[float, np.ndarray]:
-    """Exact forward-mode over the workspace, one parameter at a time."""
-    base, lam = _workspace_loss_and_adjoint(ws, targets, loss, projection)
+    """Exact forward-mode over the workspace, one parameter at a time:
+    ``Re <P lam, S_i dG_i (P_i X)>`` with ``lam`` the output adjoint."""
+    out = ws.base_output.copy()
+    if projection is not None:
+        projection.apply_inplace(out)
+    base = loss.value(out, targets)
+    lam = loss.dvalue(out, targets)
+    if projection is not None:
+        lam = projection.apply(lam)
     grad = np.zeros(num_params)
     for i in range(num_params):
         dout = derivative_output(ws, i)
@@ -300,12 +311,14 @@ def looped_loss_and_gradient(
     """``loss_and_gradient`` driven one parameter / one gate at a time.
 
     Same signature and contract as
-    :func:`repro.training.gradients.loss_and_gradient`.  ``adjoint`` walks
-    the gates of :func:`reference_workspace`'s tape on any backend;
-    ``fd``/``central``/``derivative`` take one parameter at a time through
-    the backend's own workspace, or, on a backend without one, the
-    library's re-execution path (which already goes one parameter at a
-    time).
+    :func:`repro.training.gradients.loss_and_gradient`, plus
+    ``method="derivative"``.  ``adjoint`` walks the gates of
+    :func:`reference_workspace`'s tape on any backend; ``derivative``
+    takes one parameter at a time through the backend's own workspace, or
+    :func:`reference_workspace` on a backend without one; ``fd`` and
+    ``central`` take one parameter at a time through the backend's own
+    workspace, or, on a backend without one, the library's re-execution
+    path (which already goes one parameter at a time).
     """
     arr, tgt, loss = _checked_problem(
         network, inputs, targets, loss, projection
@@ -314,14 +327,16 @@ def looped_loss_and_gradient(
     if key == "adjoint":
         return _looped_adjoint(network, arr, tgt, loss, projection)
     ws = network.backend.gradient_workspace(arr)
+    if key == "derivative":
+        if ws is None:
+            ws = reference_workspace(network, arr)
+        return _looped_derivative_grad(
+            ws, network.num_parameters, tgt, loss, projection
+        )
     if ws is None:
         return loss_and_gradient(
             network, arr, tgt, loss=loss, projection=projection,
             method=key, delta=delta,
-        )
-    if key == "derivative":
-        return _looped_derivative_grad(
-            ws, network.num_parameters, tgt, loss, projection
         )
     step = _DEFAULT_DELTAS[key] if delta is None else float(delta)
     return _looped_difference_grad(

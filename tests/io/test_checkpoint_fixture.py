@@ -16,6 +16,12 @@ the spec still had a ``grad_engine`` field and with
 ``grad_engine="looped"``; ``data/codec_looped_expected.npz`` holds the same
 ``X`` and its forward arrays under ``looped_<field>``.  All three
 archives embed a spec with the since-removed ``grad_engine`` key.
+
+``data/codec_derivative.npz`` is the ``codec_real`` fit again, written
+while ``"derivative"`` was still a gradient method and with
+``gradient_method="derivative"`` (its spec has no ``grad_engine`` key);
+``data/codec_derivative_expected.npz`` holds the same ``X`` and its
+forward arrays under ``derivative_<field>``.
 """
 
 import json
@@ -24,8 +30,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import Codec
-from repro.exceptions import SerializationError
+from repro.api import Codec, CodecSpec
+from repro.exceptions import NetworkConfigError, SerializationError
 
 DATA = Path(__file__).parent / "data"
 FIELDS = (
@@ -40,13 +46,17 @@ FIELDS = (
 @pytest.fixture(scope="module")
 def expected():
     arrays = {}
-    for name in ("codec_forward_expected", "codec_looped_expected"):
+    for name in (
+        "codec_forward_expected",
+        "codec_looped_expected",
+        "codec_derivative_expected",
+    ):
         with np.load(DATA / f"{name}.npz") as archive:
             arrays.update(archive)
     return arrays
 
 
-@pytest.mark.parametrize("name", ["real", "phase", "looped"])
+@pytest.mark.parametrize("name", ["real", "phase", "looped", "derivative"])
 def test_loaded_checkpoint_reproduces_forward_bitwise(expected, name):
     codec = Codec.load(DATA / f"codec_{name}.npz")
     assert codec.autoencoder.uc.allow_phase == (name == "phase")
@@ -72,6 +82,18 @@ def test_legacy_grad_engine_key_is_dropped(name):
     spec = Codec.load(DATA / f"codec_{name}.npz").spec
     assert "grad_engine" not in spec.to_dict()
     assert (spec.dim, spec.seed, spec.iterations) == (4, 11, 3)
+
+
+def test_legacy_derivative_method_loads_as_adjoint():
+    with np.load(DATA / "codec_derivative.npz") as archive:
+        meta = json.loads(archive["meta"].tobytes())
+    assert meta["extra"]["spec"]["gradient_method"] == "derivative"
+    spec = Codec.load(DATA / "codec_derivative.npz").spec
+    assert spec.gradient_method == "adjoint"
+    assert (spec.dim, spec.seed, spec.iterations) == (4, 11, 3)
+    # Only a stored spec is mapped; a new one cannot name the method.
+    with pytest.raises(NetworkConfigError, match="unknown gradient method"):
+        CodecSpec(gradient_method="derivative")
 
 
 def _write_with_meta(path, edit):
@@ -108,6 +130,7 @@ def _set_extra(value):
         _set_spec(learning_rate=None),
         _set_spec(grad_engine="vectorised"),
         _set_spec(optimizer="sgd"),
+        _set_spec(gradient_method="spsa"),
         _set_spec(quantisation=8),
         _set_spec(dim=8),
         _set_spec(compressed_dim=1),
@@ -125,6 +148,7 @@ def _set_extra(value):
         "learning-rate-null",
         "unknown-engine",
         "unknown-optimizer",
+        "unknown-gradient-method",
         "unknown-field",
         "dim-mismatch",
         "compressed-dim-mismatch",

@@ -79,9 +79,7 @@ class TestNoisyGradient:
         assert np.array_equal(grad, ref_g)
 
     @pytest.mark.parametrize("network", ["fused", "fused-phase", "loop"])
-    @pytest.mark.parametrize(
-        "method", ["adjoint", "derivative", "fd", "central"]
-    )
+    @pytest.mark.parametrize("method", ["adjoint", "fd", "central"])
     def test_matches_manual_average(self, method, network):
         net = _network(
             backend="loop" if network == "loop" else "fused",

@@ -6,8 +6,8 @@ relies on:
 1. every network (any depth, order, parameters) is exactly orthogonal;
 2. amplitude encode/decode is a lossless round trip for non-negative data;
 3. compression never creates probability (retained mass <= 1);
-4. the adjoint gradient equals the derivative-gate gradient for arbitrary
-   configurations;
+4. the adjoint gradient equals the per-gate oracle's derivative-gate
+   gradient for arbitrary configurations;
 5. the end-to-end pipeline is invariant under global intensity scaling of
    an image (amplitude encoding is scale-free, the norm side-channel
    carries the scale).
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gradient_oracle import looped_loss_and_gradient
 from repro.encoding.amplitude import decode_batch, encode_batch
 from repro.network import Projection, QuantumAutoencoder, QuantumNetwork
 from repro.training.gradients import loss_and_gradient
@@ -141,7 +142,7 @@ class TestGradientInvariants:
         _, g_adj = loss_and_gradient(
             net, x, t, projection=proj, method="adjoint"
         )
-        _, g_der = loss_and_gradient(
+        _, g_der = looped_loss_and_gradient(
             net, x, t, projection=proj, method="derivative"
         )
         assert np.allclose(g_adj, g_der, atol=1e-10)

@@ -131,11 +131,6 @@ class TestBeamsplitterGate:
         # while the dagger applied via the kernel is exact:
         assert np.allclose(np.conj(g.matrix2().T) @ g.matrix2(), np.eye(2))
 
-    def test_with_theta(self):
-        g = BeamsplitterGate(1, 0.1, alpha=0.0)
-        g2 = g.with_theta(0.9)
-        assert g2.theta == 0.9 and g2.mode == 1
-
     def test_complex_matrix_unitary(self):
         m = BeamsplitterGate(0, 0.4, alpha=1.2).matrix2()
         assert np.allclose(np.conj(m.T) @ m, np.eye(2))

@@ -18,12 +18,9 @@ class TestHierarchy:
             exc.DimensionError,
             exc.EncodingError,
             exc.GateError,
-            exc.CircuitError,
             exc.ProjectionError,
             exc.NetworkConfigError,
             exc.DatasetError,
-            exc.DecompositionError,
-            exc.MeasurementError,
             exc.SerializationError,
             exc.BaselineError,
         ):

@@ -1,10 +1,12 @@
-"""Tests for repro.training.gradients — all four engines must agree."""
+"""Tests for repro.training.gradients — all three methods must agree, and
+``adjoint`` must agree with the per-gate ``derivative`` oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradient_oracle import looped_loss_and_gradient
 from repro.exceptions import GradientError
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
@@ -33,14 +35,13 @@ class TestMethodAgreement:
         assert available_gradient_methods() == [
             "adjoint",
             "central",
-            "derivative",
             "fd",
         ]
 
     def test_exact_methods_agree_tightly(self):
         net, x, t = make_problem()
         _, g_adj = loss_and_gradient(net, x, t, method="adjoint")
-        _, g_der = loss_and_gradient(net, x, t, method="derivative")
+        _, g_der = looped_loss_and_gradient(net, x, t, method="derivative")
         assert np.allclose(g_adj, g_der, atol=1e-12)
 
     def test_fd_close_to_exact(self):
@@ -68,13 +69,16 @@ class TestMethodAgreement:
             _, grads[m] = loss_and_gradient(
                 net, x, tp, projection=proj, method=m
             )
+        _, grads["derivative"] = looped_loss_and_gradient(
+            net, x, tp, projection=proj, method="derivative"
+        )
         for m in ("fd", "central", "derivative"):
             assert np.allclose(grads[m], grads["adjoint"], atol=1e-5), m
 
     def test_agreement_descending_network(self):
         net, x, t = make_problem(descending=True, seed=5)
         _, g_adj = loss_and_gradient(net, x, t, method="adjoint")
-        _, g_der = loss_and_gradient(net, x, t, method="derivative")
+        _, g_der = looped_loss_and_gradient(net, x, t, method="derivative")
         assert np.allclose(g_adj, g_der, atol=1e-12)
 
     @given(st.integers(0, 500))
@@ -82,7 +86,7 @@ class TestMethodAgreement:
     def test_property_adjoint_equals_derivative(self, seed):
         net, x, t = make_problem(dim=4, layers=2, m=2, seed=seed)
         _, a = loss_and_gradient(net, x, t, method="adjoint")
-        _, d = loss_and_gradient(net, x, t, method="derivative")
+        _, d = looped_loss_and_gradient(net, x, t, method="derivative")
         assert np.allclose(a, d, atol=1e-11)
 
     def test_loss_value_identical_across_methods(self):
@@ -150,7 +154,7 @@ class TestSemantics:
         net.set_flat_params(rng.uniform(0.1, 1.0, net.num_parameters))
         x = np.eye(4)[:, :2]
         t = np.eye(4)[:, 2:4]
-        _, g_der = loss_and_gradient(net, x, t, method="derivative")
+        _, g_der = looped_loss_and_gradient(net, x, t, method="derivative")
         _, g_fd = loss_and_gradient(net, x, t, method="fd", delta=1e-7)
         assert g_der.shape == (net.num_parameters,)
         assert np.allclose(g_der, g_fd, atol=1e-4)
@@ -169,7 +173,7 @@ class TestValidation:
         x = np.eye(4)[:, :3]
         t = np.eye(4)[:, 1:4]
         _, g_adj = loss_and_gradient(net, x, t, method="adjoint")
-        _, g_der = loss_and_gradient(net, x, t, method="derivative")
+        _, g_der = looped_loss_and_gradient(net, x, t, method="derivative")
         assert g_adj.shape == (net.num_parameters,)
         assert np.allclose(g_adj, g_der, atol=1e-12)
 
@@ -184,7 +188,7 @@ class TestValidation:
         t /= np.linalg.norm(t, axis=0)
         loss = FidelityLoss("sum")
         _, g_adj = loss_and_gradient(net, x, t, loss=loss, method="adjoint")
-        _, g_der = loss_and_gradient(
+        _, g_der = looped_loss_and_gradient(
             net, x, t, loss=loss, method="derivative"
         )
         _, g_fd = loss_and_gradient(
@@ -197,7 +201,7 @@ class TestValidation:
         net, x, t = make_problem()
         xc = x.astype(complex)
         _, g_adj = loss_and_gradient(net, xc, t, method="adjoint")
-        _, g_der = loss_and_gradient(net, xc, t, method="derivative")
+        _, g_der = looped_loss_and_gradient(net, xc, t, method="derivative")
         assert np.allclose(g_adj, g_der, atol=1e-12)
 
     def test_shape_mismatch(self):

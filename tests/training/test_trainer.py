@@ -77,7 +77,7 @@ class TestBasicRuns:
 
 
 class TestGradientMethodsInTraining:
-    @pytest.mark.parametrize("method", ["fd", "adjoint", "derivative"])
+    @pytest.mark.parametrize("method", ["fd", "adjoint", "central"])
     def test_methods_converge_identically(self, method):
         """FD with Delta=1e-8 and the exact methods produce the same
         trajectory to ~1e-4 over a few iterations."""
@@ -164,6 +164,11 @@ class TestValidation:
     def test_invalid_record_every(self):
         with pytest.raises(TrainingError):
             Trainer(record_theta_every=0)
+
+    @pytest.mark.parametrize("method", ["spsa", "derivative"])
+    def test_unknown_gradient_method_rejected_at_construction(self, method):
+        with pytest.raises(TrainingError, match="unknown gradient method"):
+            Trainer(gradient_method=method)
 
     def test_trace_sample_out_of_range(self, tiny_problem):
         ae, X = tiny_problem
