@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.fold import MeshLayers, mesh_layers
+from repro.backends.fold import MeshLayers, chain_rows, mesh_layers
 from repro.backends.program import GateProgram
 from repro.exceptions import BackendError, GradientError
 
@@ -123,9 +123,8 @@ class PrefixSuffixWorkspace:
     -----
     The workspace is valid for exactly one ``(parameters, inputs)`` pair;
     build a fresh one per gradient evaluation.  The three artefacts are
-    built with ``O(num_layers)`` GEMMs plus ``O(N)`` short vector
-    recurrences (see :meth:`_build_vectorized`); the tests compare that
-    construction against a per-gate traced sweep.
+    built with ``O(num_layers)`` GEMMs (see :meth:`_build_vectorized`);
+    the tests compare that construction against a per-gate traced sweep.
 
     Examples
     --------
@@ -180,9 +179,9 @@ class PrefixSuffixWorkspace:
 
         The layer unitaries and recurrence columns come from
         :func:`repro.backends.fold.mesh_layers`; the layer inputs, prefix
-        rows and suffix columns then follow from ``O(num_layers)`` GEMMs
-        and the same in-layer recurrences — no per-gate Python work
-        anywhere.
+        rows (off the layer outputs, :func:`repro.backends.fold.chain_rows`:
+        unitary layers only) and suffix columns then follow from
+        ``O(num_layers)`` GEMMs — no per-gate Python work anywhere.
         """
         program, dtype = self.program, self.dtype
         descending = program.descending
@@ -190,7 +189,6 @@ class PrefixSuffixWorkspace:
         num_layers = program.num_layers
         total = program.num_gates
         g_per_layer = n - 1
-        c, s, pc, ps = mesh.c, mesh.s, mesh.pc, mesh.ps
         layer_u = mesh.layers
 
         # Forward chain: one GEMM per layer records every layer input.
@@ -201,35 +199,20 @@ class PrefixSuffixWorkspace:
         self.base_output = states[num_layers]
         layer_in = states[:num_layers]
 
-        # Prefix rows, from the same in-layer recurrences (vectorised
-        # across layers; ``states`` already holds every layer input).
+        # Prefix rows: the one the layer input lacks, off its output.
+        rows = chain_rows(
+            layer_u, mesh.cols, states[1:], descending,
+            np.empty((num_layers, g_per_layer, m), dtype=dtype),
+        )
         row_tape = np.empty((total, 2, m), dtype=dtype)
         tape = row_tape.reshape(num_layers, g_per_layer, 2, m)
         if not descending:
-            # a_j = row j before gate j: a_0 = x_0,
-            # a_j = ps_{j-1} a_{j-1} + c_{j-1} x_j; row j+1 is untouched.
-            a = np.empty((num_layers, g_per_layer, m), dtype=dtype)
-            a[:, 0] = layer_in[:, 0]
-            for j in range(1, g_per_layer):
-                a[:, j] = (
-                    ps[:, j - 1, None] * a[:, j - 1]
-                    + c[:, j - 1, None] * layer_in[:, j]
-                )
-            tape[:, :, 0] = a
+            tape[:, :, 0] = rows
             tape[:, :, 1] = layer_in[:, 1:]
         else:
-            # b_j = row j after gate j: b_{N-1} = x_{N-1},
-            # b_j = pc_j x_j - s_j b_{j+1}; row k is untouched before gate k.
-            b = np.empty((num_layers, n, m), dtype=dtype)
-            b[:, n - 1] = layer_in[:, n - 1]
-            for j in range(n - 2, -1, -1):
-                b[:, j] = (
-                    pc[:, j, None] * layer_in[:, j]
-                    - s[:, j, None] * b[:, j + 1]
-                )
             # Position q within the layer holds mode k = N-2-q.
             tape[:, :, 0] = layer_in[:, : n - 1][:, ::-1]
-            tape[:, :, 1] = b[:, 1:][:, ::-1]
+            tape[:, :, 1] = rows[:, ::-1]
 
         # Suffix columns: fold whole layers top-down; within a layer the
         # remaining-gate product has closed-form columns (e_k and w_{k+1}

@@ -46,7 +46,8 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["MeshLayers", "chain_layers", "fold", "mesh_layers", "noisy_folds"]
+__all__ = ["MeshLayers", "chain_layers", "chain_rows", "fold", "mesh_layers",
+           "noisy_folds"]
 
 
 def chain_layers(
@@ -93,6 +94,42 @@ def chain_layers(
         layers[..., :, n - 1] = -s[..., n - 2, None] * cols[..., :, n - 2]
         layers[..., n - 1, n - 1] += c[..., n - 2]
     return layers, cols
+
+
+def chain_rows(
+    layers: np.ndarray,
+    cols: np.ndarray,
+    outputs: np.ndarray,
+    descending: bool,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The input row of each chain gate that the layer input lacks.
+
+    ``layers, cols`` are :func:`chain_layers`'s and ``outputs`` the layer
+    outputs ``y = U x``, ``(..., L, N, M)``.  Entry ``j`` of ``out``,
+    ``(..., L, N-1, M)``, gets row ``j`` (ascending) or ``j + 1``
+    (descending) of what the gate on modes ``(j, j+1)`` reads: with
+    ``U = T_j R_j``, ``R_j`` the gates before gate ``j``, a unitary ``U``
+    gives ``R_j x = T_j^dagger y``, so that row is ``w_j^dagger y``
+    ascending (``w_j = T_j e_j``, column ``j`` of ``cols``) and
+    ``u_{j+1}^dagger y`` descending (``u_{j+1} = T_j e_{j+1}``, column
+    ``j + 1`` of ``cols``, or the layer's last one for ``j = N-2``): one
+    batched GEMM per layer.  Jitter and phases keep layers unitary;
+    insertion loss does not.  Any slice of a batched call equals the call
+    on that slice bitwise.  Returns ``out``.
+    """
+    g = out.shape[-2]
+    if np.iscomplexobj(cols):
+        cols = cols.conj()
+    cols_h = np.swapaxes(cols, -1, -2)
+    if not descending:
+        return np.matmul(cols_h[..., :g, :], outputs, out=out)
+    np.matmul(cols_h[..., 1:, :], outputs, out=out[..., : g - 1, :])
+    last = layers[..., :, g:]
+    if np.iscomplexobj(last):
+        last = last.conj()
+    np.matmul(np.swapaxes(last, -1, -2), outputs, out=out[..., g - 1 :, :])
+    return out
 
 
 def fold(layers: np.ndarray) -> np.ndarray:

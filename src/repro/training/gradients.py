@@ -14,12 +14,11 @@ against target amplitudes:
     parameter buys ~1e-9 accuracy.
 ``"adjoint"``
     Exact reverse-mode: one forward chain + one backward sweep for *all*
-    parameters, over *layer* adjoint states — one GEMM per layer each way
-    plus in-layer recurrences, for ``K`` parameter sets at once
-    (:func:`adjoint_sweep`) — on any backend.  Exact to float64.  Supports
-    complex (``allow_phase``) networks: the sweep pulls the adjoint back
-    through ``G^dagger`` and reads off both the ``theta`` and ``alpha``
-    gradients from the same tapes.
+    parameters, over *layer* adjoint states — four GEMMs per layer, for
+    ``K`` parameter sets at once (:func:`adjoint_sweep`) — on any backend.
+    Exact to float64.  Supports complex (``allow_phase``) networks: the
+    sweep pulls the conjugated adjoint back through ``G^T`` and reads off
+    both the ``theta`` and ``alpha`` gradients from the same tapes.
 
 All methods share the signature of :func:`loss_and_gradient`; the trainer
 selects by name so benchmarks can ablate the choice (exp id ``abl-grad``).
@@ -50,7 +49,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.backends.cached import ELEMENT_BUDGET
-from repro.backends.fold import mesh_layers
+from repro.backends.fold import chain_rows, mesh_layers
 from repro.exceptions import GradientError
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
@@ -299,12 +298,12 @@ def adjoint_sweep(
     from :func:`repro.backends.fold.mesh_layers` on the stack; then
 
     1. the forward GEMM chain records every layer input ``x``;
-    2. the output adjoint ``lam`` is pulled back one GEMM per layer,
-       ``mu_{p-1} = U_p^dagger mu_p``;
-    3. an in-layer recurrence, vectorised over ``(K, L, M)``, gives the
-       rows ``(r0, r1)`` each gate reads, and one batched GEMM of ``mu``
-       with the fold's recurrence columns the adjoints ``(l0, l1)`` at its
-       outputs (see :func:`_gate_tapes`);
+    2. ``conj(lam)`` is pulled back one GEMM per layer,
+       ``conj(mu_{p-1}) = U_p^T conj(mu_p)``;
+    3. one batched GEMM per layer reads the gate rows ``(r0, r1)`` that
+       ``x`` lacks off the layer output (unitary layers only), and one of
+       ``conj(mu)`` with the fold's recurrence columns the conjugated
+       adjoints ``(l0, l1)`` at the gate outputs (see :func:`_gate_tapes`);
     4. the gradient reads off elementwise,
        ``d theta = Re sum_m conj(l) . (dG/dtheta) r`` and likewise for
        ``alpha`` on phase-bearing meshes.
@@ -349,13 +348,13 @@ def _sweep_block_size(
 ) -> int:
     """Parameter sets per block of :func:`adjoint_sweep`.
 
-    One set's tapes in :func:`_sweep_block` hold the layer inputs
-    (``(L+1) N M`` elements), the layer adjoints (``L N M``), the row and
-    adjoint tapes the recurrences build (``2 L (N-1) M``) and, on complex
-    tapes, their conjugates (``2 L (N-1) M`` more); the fold adds its
-    layers and recurrence columns (under ``2 L N^2``).  A complex element
-    counts as two float64s, so a block stays under ``ELEMENT_BUDGET``
-    float64s.
+    One set's tapes in :func:`_sweep_block` hold the layer inputs and
+    outputs (``(L+1) N M`` elements), the conjugated layer adjoints
+    (``L N M``) and the gate row and adjoint tapes (``2 L (N-1) M``); the
+    fold adds its layers and recurrence columns (under ``2 L N^2``) and,
+    on complex meshes, the conjugated columns the row GEMM reads
+    (``L N^2`` more).  A complex element counts as two float64s, so a
+    block stays under ``ELEMENT_BUDGET`` float64s.
 
     The first four of those tapes are kept between calls in the calling
     thread's arena (:func:`_arena_tapes`), sized to the largest block the
@@ -363,8 +362,9 @@ def _sweep_block_size(
     ~1.2 MB for the paper's K = 8 noise step on U_C.
     """
     complex_ = np.issubdtype(dtype, np.complexfloating)
-    tapes = (6 if complex_ else 4) * num_layers + 1
-    per_set = (tapes * n * m + 2 * num_layers * n * n) * (2 if complex_ else 1)
+    tapes = 4 * num_layers + 1
+    folds = (3 if complex_ else 2) * num_layers
+    per_set = (tapes * n * m + folds * n * n) * (2 if complex_ else 1)
     return max(1, ELEMENT_BUDGET // per_set)
 
 
@@ -397,25 +397,22 @@ def _sweep_block(
     for p in range(num_layers):
         np.matmul(layers[..., p, :, :], xs[:, p], out=xs[:, p + 1])
 
-    # 2. Loss and output adjoint per set, then the pull-back:
-    #    mus[:, p] is the adjoint at the output of layer p.
+    # 2. Loss and output adjoint per set, then the pull-back: mus[:, p]
+    #    is conj(adjoint at the output of layer p), pulled back by U^T.
     values = np.empty(k)
     for r in range(k):
-        values[r], mus[r, -1] = _adjoint_loss_and_lambda(
+        values[r], lam = _adjoint_loss_and_lambda(
             xs[r, -1], dtype, targets, loss, projection
         )
-    back = np.swapaxes(
-        layers.conj() if np.iscomplexobj(layers) else layers, -1, -2
-    )
+        np.conjugate(lam, out=mus[r, -1])
+    back = np.swapaxes(layers, -1, -2)
     for p in range(num_layers - 1, 0, -1):
         np.matmul(back[..., p, :, :], mus[:, p], out=mus[:, p - 1])
 
     # 3.-4. Gate tapes and the elementwise gradient read-off.
     r0, r1, l0, l1 = _gate_tapes(
-        mesh, network.descending, xs[:, :num_layers], mus, rows, adjoints
+        mesh, network.descending, xs, mus, rows, adjoints
     )
-    if np.iscomplexobj(l0):
-        l0, l1 = l0.conj(), l1.conj()
     r0l0 = np.einsum("...m,...m->...", r0, l0)
     r0l1 = np.einsum("...m,...m->...", r0, l1)
     r1l0 = np.einsum("...m,...m->...", r1, l0)
@@ -473,56 +470,34 @@ def _arena_tapes(dtype: np.dtype, *shapes: Tuple[int, ...]) -> list:
 def _gate_tapes(
     mesh,
     descending: bool,
-    x: np.ndarray,
-    mu: np.ndarray,
+    xs: np.ndarray,
+    mu_conj: np.ndarray,
     rows: np.ndarray,
     adjoints: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-gate rows and adjoints of every layer, ``(k, L, N-1, M)`` each.
+    """Per-gate rows and conjugated adjoints of every layer,
+    ``(k, L, N-1, M)`` each, written into ``rows`` and ``adjoints``.
 
-    ``x`` holds the layer inputs and ``mu`` the adjoints at the layer
-    outputs, ``(k, L, N, M)``; the recurrences write into ``rows`` and
-    ``adjoints``, ``(k, L, N-1, M)``.  Entry ``j`` belongs to the gate on
-    modes ``(j, j+1)``: ``r0, r1`` are the two rows it reads and
-    ``l0, l1`` the adjoint at its two output rows.  Inside a chain each
-    gate meets rows the others have finished with
-    (``G = [[pc, -s], [ps, c]]``, pulled back by ``G^dagger``):
-
-    - ascending: ``r0_0 = x_0``, ``r0_j = ps_{j-1} r0_{j-1} + c_{j-1}
-      x_j``, ``r1_j = x_{j+1}``; ``l0_j = mu_j``, and ``l1_j = w_{j+1}^H
-      mu`` with ``w`` the recurrence columns of
-      :func:`~repro.backends.fold.chain_layers` (``l1_{N-2} = mu_{N-1}``,
-      ``l1_j = conj(pc_{j+1}) mu_{j+1} + conj(ps_{j+1}) l1_{j+1}``);
-    - descending: ``r0_j = x_j``, ``r1_{N-2} = x_{N-1}``, ``r1_{j-1} =
-      pc_j x_j - s_j r1_j``; ``l1_j = mu_{j+1}``, and ``l0_j = u_j^T mu``
-      with ``u`` the recurrence columns (``l0_0 = mu_0``, ``l0_j =
-      c_{j-1} mu_j - s_{j-1} l0_{j-1}``).
-
-    The row recurrence runs vectorised over ``(k, L, M)``; the adjoint
-    one is a single batched GEMM on the columns the fold already built.
+    ``xs`` holds the layer inputs plus the last output, ``(k, L+1, N,
+    M)``, and ``mu_conj`` the conjugated adjoints at the layer outputs.
+    Entry ``j`` belongs to the gate on modes ``(j, j+1)``: ``r0, r1`` are
+    the rows it reads and ``conj(l0), conj(l1)`` the conjugated adjoint
+    at its outputs.  The row the layer input ``x`` lacks comes off the
+    layer output (:func:`~repro.backends.fold.chain_rows`), the other is
+    ``x`` (``r1_j = x_{j+1}`` ascending, ``r0_j = x_j`` descending); one
+    adjoint is ``mu_conj`` (row ``j`` ascending, ``j + 1`` descending),
+    the other one batched GEMM on the fold's recurrence columns,
+    ``conj(l1_j) = w_{j+1}^T mu_conj`` or ``conj(l0_j) = u_j^T mu_conj``.
     """
-    c, s, pc, ps = mesh.c, mesh.s, mesh.pc, mesh.ps
-    cols = np.swapaxes(
-        mesh.cols.conj() if np.iscomplexobj(mesh.cols) else mesh.cols, -1, -2
-    )
-    g = x.shape[2] - 1
+    g = xs.shape[2] - 1
+    x = xs[:, :-1]
+    rows = chain_rows(mesh.layers, mesh.cols, xs[:, 1:], descending, rows)
+    cols = np.swapaxes(mesh.cols, -1, -2)
     if not descending:
-        r0 = rows
-        r0[:, :, 0] = x[:, :, 0]
-        for j in range(1, g):
-            r0[:, :, j] = (
-                ps[..., j - 1, None] * r0[:, :, j - 1]
-                + c[..., j - 1, None] * x[:, :, j]
-            )
-        l1 = np.matmul(cols[..., 1:, :], mu, out=adjoints)
-        return r0, x[:, :, 1:], mu[:, :, :g], l1
-    r1 = rows
-    r1[:, :, g - 1] = x[:, :, g]
-    for j in range(g - 1, 0, -1):
-        r1[:, :, j - 1] = (
-            pc[..., j, None] * x[:, :, j] - s[..., j, None] * r1[:, :, j]
-        )
-    return x[:, :, :g], r1, np.matmul(cols, mu, out=adjoints), mu[:, :, 1:]
+        l1 = np.matmul(cols[..., 1:, :], mu_conj, out=adjoints)
+        return rows, x[:, :, 1:], mu_conj[:, :, :g], l1
+    l0 = np.matmul(cols, mu_conj, out=adjoints)
+    return x[:, :, :g], rows, l0, mu_conj[:, :, 1:]
 
 
 def _loss_and_grad_adjoint(

@@ -2,7 +2,9 @@
 
 The ``loop`` backend (two-row Givens kernels, gate by gate) is the oracle
 for the clean fold; a per-gate fold kept below (rotate, then damp rows
-``k, k+1``) is the oracle for the noisy one.  Both reassociate the same
+``k, k+1``) is the oracle for the noisy one, and the per-gate traced
+forward of ``gradient_oracle.reference_workspace`` for the gate rows
+``chain_rows`` reads off the layer outputs.  Both reassociate the same
 products, so agreement is at rounding level, never bitwise.  Batched
 folds, in contrast, must be *bitwise* slice-exact: the noise contracts
 (pool:2 == pool:4 == in-process) rest on it.
@@ -11,8 +13,10 @@ folds, in contrast, must be *bitwise* slice-exact: the noise contracts
 import numpy as np
 import pytest
 
+from gradient_oracle import reference_workspace
+
 from repro.backends.cached import PrefixSuffixWorkspace
-from repro.backends.fold import fold, mesh_layers, noisy_folds
+from repro.backends.fold import chain_rows, fold, mesh_layers, noisy_folds
 from repro.backends.program import compile_program
 from repro.network import QuantumNetwork
 from repro.noise import (
@@ -126,6 +130,75 @@ def test_batched_fold_is_slice_exact(descending):
             assert np.array_equal(
                 full[lo:hi], sample_mesh_matrices(net, params, model, rngs(lo, hi))
             )
+
+
+#: Angles where ``c`` or ``s`` vanishes (up to the rounding of pi / 2):
+#: a read-off that divided by either would fail on them.
+SPECIAL_THETAS = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi])
+
+
+def gate_row_case(dim, descending, allow_phase, k):
+    """A 3-layer mesh, ``k`` parameter sets sharing its phases (every
+    other gate at a special angle), an input batch and the layer
+    outputs of every set, ``(k, L, N, M)``."""
+    net = make_net(dim, descending, allow_phase)
+    params = net.get_flat_params()
+    if allow_phase:
+        params[net.num_thetas:] = np.random.default_rng(7).uniform(
+            -np.pi, np.pi, net.num_thetas
+        )
+    rng = np.random.default_rng(8)
+    sets = np.repeat(params[None], k, axis=0)
+    sets[:, : net.num_thetas] += rng.normal(0.0, 0.1, (k, net.num_thetas))
+    special = np.arange(0, net.num_thetas, 2)
+    sets[:, special] = np.resize(SPECIAL_THETAS, special.size)
+    x = rng.normal(size=(dim, 5))
+    mesh = mesh_layers(net, sets)
+    states = [np.broadcast_to(x, (k,) + x.shape)]
+    for p in range(net.num_layers):
+        states.append(mesh.layers[:, p] @ states[-1])
+    return net, sets, x, mesh, np.stack(states[1:], axis=1)
+
+
+def rows_of(mesh, outputs, descending):
+    out = np.empty(
+        outputs.shape[:-2] + (outputs.shape[-2] - 1, outputs.shape[-1]),
+        dtype=np.result_type(mesh.layers, outputs),
+    )
+    return chain_rows(mesh.layers, mesh.cols, outputs, descending, out)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("allow_phase", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_chain_rows_match_per_gate_tape(dim, descending, allow_phase, k):
+    """Entry ``j`` is row ``j`` (ascending) or ``j + 1`` (descending) of
+    the state gate ``j`` reads, as the per-gate traced forward records
+    it."""
+    net, sets, x, mesh, outputs = gate_row_case(
+        dim, descending, allow_phase, k
+    )
+    rows = rows_of(mesh, outputs, descending)
+    prog = compile_program(net)
+    for r in range(k):
+        net.set_flat_params(sets[r])
+        tape = reference_workspace(net, x).row_tape
+        expected = np.empty_like(rows[r])
+        expected[prog.layer_index, prog.modes] = tape[:, int(descending)]
+        assert np.max(np.abs(rows[r] - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("allow_phase", [False, True])
+def test_chain_rows_stack_equals_single_calls(descending, allow_phase):
+    net, sets, _, mesh, outputs = gate_row_case(8, descending, allow_phase, 4)
+    rows = rows_of(mesh, outputs, descending)
+    for r in range(4):
+        single = mesh_layers(net, sets[r : r + 1])
+        assert np.array_equal(
+            rows[r : r + 1], rows_of(single, outputs[r : r + 1], descending)
+        )
 
 
 @pytest.mark.parametrize("descending", [False, True])
