@@ -145,10 +145,13 @@ class CodecSpec:
             raise NetworkConfigError(
                 f"iterations must be >= 1, got {self.iterations}"
             )
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < float("inf"):
             raise NetworkConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}"
+                f"learning_rate must be positive and finite, got "
+                f"{self.learning_rate}"
             )
+        if self.seed < 0:
+            raise NetworkConfigError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("gd", "momentum", "adam"):
             raise NetworkConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.target not in ("pca", "restrict", "uniform"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import BaselineError
 
-__all__ = ["truncated_svd_reconstruction", "svd_energy_profile"]
+__all__ = ["truncated_svd_reconstruction"]
 
 
 def truncated_svd_reconstruction(
@@ -46,20 +46,3 @@ def truncated_svd_reconstruction(
     x_hat = (u[:, :rank] * s[:rank]) @ vt[:rank]
     err = float(np.sum(s[rank:] ** 2))
     return x_hat, err
-
-
-def svd_energy_profile(X: np.ndarray) -> np.ndarray:
-    """Cumulative squared-singular-value energy fractions.
-
-    ``profile[d-1]`` is the fraction of Frobenius energy captured by the
-    best rank-``d`` approximation — the compressibility curve of a dataset
-    (used to choose ``d`` and to explain accuracy in EXPERIMENTS.md).
-    """
-    mat = np.asarray(X, dtype=np.float64)
-    if mat.ndim != 2:
-        raise BaselineError(f"X must be 2-D, got shape {mat.shape}")
-    s = np.linalg.svd(mat, compute_uv=False) ** 2
-    total = s.sum()
-    if total <= 0:
-        raise BaselineError("X is all-zero")
-    return np.cumsum(s) / total

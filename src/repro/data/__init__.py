@@ -5,16 +5,14 @@ The authors never published their pixel data, so
 substitute with the properties the paper's results require: 25 binary 4x4
 glyph-like images whose matrix has low effective rank (compressible into
 ``d = 4`` amplitudes).  Generators for higher-rank binary sets and
-grayscale images feed the examples and tests.
+grayscale images feed the ablations, examples and tests.
 """
 
 from repro.data.dataset import ImageDataset
 from repro.data.stream import MiniBatch, MiniBatchStream, load_data_matrix
-from repro.data.glyphs import GLYPHS_4X4, glyph, available_glyphs
 from repro.data.binary_images import (
     paper_dataset,
     block_basis,
-    random_binary_dataset,
     rank_limited_binary_dataset,
 )
 from repro.data.grayscale import (
@@ -30,12 +28,8 @@ __all__ = [
     "MiniBatch",
     "MiniBatchStream",
     "load_data_matrix",
-    "GLYPHS_4X4",
-    "glyph",
-    "available_glyphs",
     "paper_dataset",
     "block_basis",
-    "random_binary_dataset",
     "rank_limited_binary_dataset",
     "gradient_image",
     "gaussian_blob",

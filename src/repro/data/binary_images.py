@@ -12,14 +12,13 @@ binary 4x4 images.  Requirements derived from the paper's results:
 The construction uses four *disjoint-support* base patterns (2x2 quadrant
 blocks by default); every union of base patterns is then both strictly
 binary and exactly inside the 4-dimensional span, so the 25 images form an
-exactly rank-4 binary set.  Generators with controllable extra rank
-(:func:`rank_limited_binary_dataset`) and fully random sets
-(:func:`random_binary_dataset`) support the ablation studies.
+exactly rank-4 binary set.  A generator with controllable extra rank
+(:func:`rank_limited_binary_dataset`) supports the ablation studies.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from repro.utils.rng import ensure_rng
 __all__ = [
     "block_basis",
     "paper_dataset",
-    "random_binary_dataset",
     "rank_limited_binary_dataset",
 ]
 
@@ -100,36 +98,6 @@ def paper_dataset(
         coeff = np.array([(mask >> k) & 1 for k in range(rank)], dtype=float)
         images.append(np.tensordot(coeff, bases, axes=1))
     return ImageDataset(np.stack(images), name="paper-25-binary-4x4")
-
-
-def random_binary_dataset(
-    num_samples: int,
-    image_size: int = 4,
-    density: float = 0.5,
-    seed: Optional[int] = None,
-) -> ImageDataset:
-    """i.i.d. Bernoulli binary images (full-rank in general).
-
-    All-zero images are rerolled (they cannot be amplitude-encoded); if a
-    reroll still produces zeros, one uniformly random pixel is set.
-    """
-    if num_samples < 1:
-        raise DatasetError(f"num_samples must be >= 1, got {num_samples}")
-    if not 0.0 < density < 1.0:
-        raise DatasetError(f"density must be in (0, 1), got {density}")
-    rng = ensure_rng(seed)
-    imgs = (
-        rng.random((num_samples, image_size, image_size)) < density
-    ).astype(np.float64)
-    for i in range(num_samples):
-        if imgs[i].sum() == 0:
-            imgs[i] = (
-                rng.random((image_size, image_size)) < density
-            ).astype(np.float64)
-        if imgs[i].sum() == 0:
-            r, c = rng.integers(image_size), rng.integers(image_size)
-            imgs[i, r, c] = 1.0
-    return ImageDataset(imgs, name=f"random-binary-{num_samples}")
 
 
 def rank_limited_binary_dataset(

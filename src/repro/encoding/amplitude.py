@@ -23,15 +23,13 @@ these norms so the pair cannot be separated accidentally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import DimensionError, EncodingError, NormalizationError
-from repro.simulator.state import QuantumState, StateBatch
+from repro.simulator.state import StateBatch
 from repro.utils.validation import (
     as_float_matrix,
-    as_float_vector,
     check_power_of_two,
     num_qubits_for,
 )
@@ -39,9 +37,7 @@ from repro.utils.validation import (
 __all__ = [
     "AmplitudeCodec",
     "EncodedBatch",
-    "encode_vector",
     "encode_batch",
-    "decode_vector",
     "decode_batch",
 ]
 
@@ -87,50 +83,6 @@ class EncodedBatch:
         return self.states.data
 
 
-def encode_vector(
-    x: np.ndarray | list, pad_to_power_of_two: bool = False
-) -> Tuple[QuantumState, float]:
-    """Encode one classical vector per Eq. (1).
-
-    Returns the state and the squared norm ``sum_j x_j^2``.
-
-    Parameters
-    ----------
-    pad_to_power_of_two:
-        If True, zero-pad ``x`` up to the next power of two (the paper's
-        ``ceil(log2 N)`` qubit count); if False (default) the length must
-        already be a power of two.
-
-    Examples
-    --------
-    >>> state, sq = encode_vector([3.0, 4.0])
-    >>> float(sq)
-    25.0
-    >>> state.amplitudes.tolist()
-    [0.6, 0.8]
-    """
-    arr = as_float_vector(x, name="x")
-    if pad_to_power_of_two:
-        target = 2 ** num_qubits_for(arr.size)
-        if target != arr.size:
-            arr = np.concatenate([arr, np.zeros(target - arr.size)])
-    else:
-        check_power_of_two(arr.size, name="len(x)")
-    with np.errstate(over="ignore"):
-        sq = float(np.dot(arr, arr))
-    if not np.isfinite(sq):
-        raise NormalizationError(
-            "the squared norm of x overflows float64; it cannot be "
-            "amplitude-encoded"
-        )
-    if sq <= _ZERO_NORM_ATOL:
-        raise NormalizationError(
-            "cannot amplitude-encode an all-zero sample (Eq. 1 divides by "
-            "its norm); filter such images out or add a bias pixel"
-        )
-    return QuantumState(arr / np.sqrt(sq), normalize=False), sq
-
-
 def encode_batch(
     X: np.ndarray | list, pad_to_power_of_two: bool = False
 ) -> EncodedBatch:
@@ -165,26 +117,6 @@ def encode_batch(
         states=StateBatch(np.ascontiguousarray(amps), normalize=False),
         squared_norms=sq,
     )
-
-
-def decode_vector(
-    amplitudes: np.ndarray, squared_norm: float
-) -> np.ndarray:
-    """Decode one output state per Eq. (2): ``x_hat_j = |B_j| sqrt(sum x^2)``.
-
-    Accepts signed/complex amplitudes; only magnitudes are observable in a
-    measurement, so the result is non-negative (appropriate for pixel data).
-    """
-    amps = np.asarray(amplitudes)
-    if amps.ndim != 1:
-        raise DimensionError(
-            f"amplitudes must be 1-D, got shape {amps.shape}"
-        )
-    if squared_norm <= 0 or not np.isfinite(squared_norm):
-        raise EncodingError(
-            f"squared_norm must be positive and finite, got {squared_norm!r}"
-        )
-    return np.abs(amps) * np.sqrt(squared_norm)
 
 
 def decode_batch(

@@ -1,17 +1,11 @@
 """Image <-> vector utilities and the paper's post-processing thresholds.
 
-Section IV-B of the paper applies two rules when converting reconstructed
-grayscale outputs back to binary images:
-
-1. the *pixel* rule — ``x_hat <= 0.01 -> 0`` and ``x_hat >= 0.99 -> 1``
-   (values in between are left as grayscale, which is how Fig. 4b shows
-   near-white pixels);
-2. the *amplitude* rule — "the output amplitude R will be 0 if it is lower
-   than 0.5; otherwise it will be 1", a hard binary decision used when a
-   strictly binary output is required.
-
-Both are implemented verbatim so the accuracy metric (Eq. 10) can be
-computed in either regime.
+Section IV-B of the paper snaps reconstructed grayscale outputs toward
+binary images with the *pixel* rule: ``x_hat <= 0.01 -> 0`` and
+``x_hat >= 0.99 -> 1``, values in between left as grayscale (which is how
+Fig. 4b shows near-white pixels).  :func:`apply_paper_threshold` implements
+it verbatim, so the accuracy metric (Eq. 10) can be computed in that
+regime.
 """
 
 from __future__ import annotations
@@ -26,9 +20,7 @@ from repro.utils.validation import as_float_matrix
 __all__ = [
     "flatten_images",
     "unflatten_images",
-    "binarize",
     "apply_paper_threshold",
-    "amplitude_binary_threshold",
 ]
 
 
@@ -75,14 +67,6 @@ def unflatten_images(
     return mat.reshape(m, h, w)
 
 
-def binarize(images: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard-threshold values to {0, 1} (``>= threshold -> 1``)."""
-    arr = np.asarray(images, dtype=np.float64)
-    if not np.isfinite(threshold):
-        raise EncodingError("threshold must be finite")
-    return (arr >= threshold).astype(np.float64)
-
-
 def apply_paper_threshold(
     x_hat: np.ndarray, low: float = 0.01, high: float = 0.99
 ) -> np.ndarray:
@@ -104,17 +88,3 @@ def apply_paper_threshold(
     arr[arr <= low] = 0.0
     arr[arr >= high] = 1.0
     return arr
-
-
-def amplitude_binary_threshold(
-    x_hat: np.ndarray, cut: float = 0.5
-) -> np.ndarray:
-    """The paper's hard binary rule: ``< cut -> 0``, otherwise ``1``.
-
-    Quoted in Section IV-B as the rule for controlling "the output to be
-    binary by comparing the output thresholds".
-    """
-    if not np.isfinite(cut):
-        raise EncodingError("cut must be finite")
-    arr = np.asarray(x_hat, dtype=np.float64)
-    return (arr >= cut).astype(np.float64)

@@ -1,34 +1,27 @@
 """Serialisation: trained models, images and experiment results.
 
-- :mod:`~repro.io.model_io` — save/load network and autoencoder parameters
-  (NPZ with a JSON header), so trained meshes can be re-programmed;
-- :mod:`~repro.io.image_io` — portable PGM/PBM image files (no external
+- :mod:`~repro.io.model_io` — save/load autoencoder parameters (NPZ with a
+  JSON header), so trained meshes can be re-programmed;
+- :mod:`~repro.io.image_io` — portable PGM image files (no external
   imaging dependency in the offline environment);
 - :mod:`~repro.io.results_io` — experiment-result dictionaries to/from
   JSON (arrays converted losslessly to nested lists).
 """
 
 from repro.io.model_io import (
-    save_network,
-    load_network,
     save_autoencoder,
     load_autoencoder,
     load_autoencoder_with_meta,
-    read_model_meta,
 )
-from repro.io.image_io import write_pgm, read_pgm, write_pbm
+from repro.io.image_io import write_pgm, read_pgm
 from repro.io.results_io import save_results, load_results
 
 __all__ = [
-    "save_network",
-    "load_network",
     "save_autoencoder",
     "load_autoencoder",
     "load_autoencoder_with_meta",
-    "read_model_meta",
     "write_pgm",
     "read_pgm",
-    "write_pbm",
     "save_results",
     "load_results",
 ]

@@ -1,11 +1,10 @@
-"""Minimal PGM/PBM image IO (no external imaging dependencies).
+"""Minimal PGM image IO (no external imaging dependencies).
 
-Binary images of the paper are written as PBM (P1 ASCII / P4 packed)
-and grayscale images as PGM (P2 ASCII / P5 raw).  The ASCII flavours
-are trivially inspectable in a terminal; the raw flavours are what real
-image tooling emits and are 8x (P4) / ~3x (P5) smaller.  ``read_pgm``
-and ``read_pbm`` auto-detect the flavour from the magic number, so the
-imaging CLI eats either transparently.
+Grayscale images are written as PGM, ASCII P2 or raw P5.  The ASCII
+flavour is trivially inspectable in a terminal; the raw flavour is what
+real image tooling emits and is ~3x smaller.  ``read_pgm`` auto-detects
+the flavour from the magic number, so the imaging CLI eats either
+transparently.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import SerializationError
 
-__all__ = ["write_pgm", "read_pgm", "write_pbm", "read_pbm"]
+__all__ = ["write_pgm", "read_pgm"]
 
 PathLike = Union[str, Path]
 
@@ -29,7 +28,7 @@ def _header_tokens(data: bytes, count: int) -> Tuple[List[str], int]:
 
     Returns the tokens and the offset just past the single whitespace
     byte terminating the last one — the raster start for the binary
-    (P4/P5) flavours.  ``#`` comments run to end of line, anywhere in
+    (P5) flavour.  ``#`` comments run to end of line, anywhere in
     the header.  Binary-safe: never decodes raster bytes as text.
     """
     tokens: List[str] = []
@@ -150,66 +149,3 @@ def read_pgm(path: PathLike) -> np.ndarray:
     if values.min() < 0 or values.max() > maxv:
         raise SerializationError("PGM pixel values exceed the stated maximum")
     return (values / maxv).reshape(h, w)
-
-
-def write_pbm(
-    image: np.ndarray, path: PathLike, binary: bool = False
-) -> None:
-    """Write a strictly binary 2-D array as a PBM file.
-
-    PBM convention: 1 = black; we map pixel value 1.0 -> 1.
-    ``binary=False`` writes ASCII P1; ``binary=True`` writes raw P4
-    (rows packed MSB-first into ceil(w / 8) bytes each).
-    """
-    arr = _check_2d(image)
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise SerializationError("PBM requires strictly binary pixel values")
-    h, w = arr.shape
-    if binary:
-        header = f"P4\n{w} {h}\n".encode("ascii")
-        packed = np.packbits(arr.astype(np.uint8), axis=1)
-        Path(path).write_bytes(header + packed.tobytes())
-        return
-    lines = ["P1", f"{w} {h}"]
-    lines += [" ".join(str(int(v)) for v in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_pbm(path: PathLike) -> np.ndarray:
-    """Read a PBM (ASCII P1 or raw P4) file into a {0, 1} float array."""
-    data = Path(path).read_bytes()
-    if data[:2] not in (b"P1", b"P4"):
-        raise SerializationError("not a PBM (P1/P4) file")
-    try:
-        tokens, offset = _header_tokens(data, 3)
-        magic = tokens[0]
-        w, h = int(tokens[1]), int(tokens[2])
-    except ValueError as exc:
-        raise SerializationError(f"malformed PBM header: {exc}") from exc
-    if w < 1 or h < 1:
-        raise SerializationError(f"bad PBM geometry: {w}x{h}")
-    if magic == "P1":
-        # The P1 raster allows pixels with *or without* separating
-        # whitespace ("0110"), so parse character-wise, not by token.
-        text = data[offset:].decode("ascii", errors="replace")
-        clean = "".join(
-            line.split("#", 1)[0] for line in text.splitlines()
-        )
-        bits = [c for c in clean if not c.isspace()]
-        if any(c not in "01" for c in bits):
-            raise SerializationError("P1 raster has non-binary characters")
-        if len(bits) != w * h:
-            raise SerializationError(
-                f"PBM header promises {w * h} pixels, found {len(bits)}"
-            )
-        values = np.array([int(c) for c in bits], dtype=np.float64)
-        return values.reshape(h, w)
-    row_bytes = -(-w // 8)
-    expected = h * row_bytes
-    raster = data[offset:]
-    if len(raster) != expected:
-        raise SerializationError(
-            f"P4 raster is {len(raster)} bytes, expected {expected}"
-        )
-    packed = np.frombuffer(raster, dtype=np.uint8).reshape(h, row_bytes)
-    return np.unpackbits(packed, axis=1)[:, :w].astype(np.float64)

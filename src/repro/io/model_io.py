@@ -1,7 +1,7 @@
-"""Save/load trained networks and autoencoders (NPZ container).
+"""Save/load trained autoencoders (NPZ container).
 
 The format stores a small JSON metadata string (architecture) plus the raw
-parameter arrays, so a file round-trips to a network that is numerically
+parameter arrays, so a file round-trips to an autoencoder that is numerically
 identical and structurally re-buildable without pickling arbitrary code.
 
 Format history:
@@ -28,15 +28,11 @@ import numpy as np
 from repro.exceptions import ReproError, SerializationError
 from repro.network.autoencoder import QuantumAutoencoder
 from repro.network.projection import Projection
-from repro.network.quantum_network import QuantumNetwork
 
 __all__ = [
-    "save_network",
-    "load_network",
     "save_autoencoder",
     "load_autoencoder",
     "load_autoencoder_with_meta",
-    "read_model_meta",
 ]
 
 _FORMAT_VERSION = 2
@@ -106,38 +102,6 @@ def _write_archive(path: PathLike, meta: dict, params: np.ndarray) -> Path:
     return target
 
 
-def save_network(
-    network: QuantumNetwork,
-    path: PathLike,
-    extra: Optional[dict] = None,
-) -> Path:
-    """Serialise a network; returns the written path (``.npz`` appended
-    when missing, matching ``np.savez``).
-
-    Examples
-    --------
-    >>> import tempfile, os
-    >>> net = QuantumNetwork(4, 2)
-    >>> with tempfile.TemporaryDirectory() as d:
-    ...     _ = save_network(net, os.path.join(d, "net.npz"))
-    ...     same = load_network(os.path.join(d, "net.npz"))
-    >>> same.dim, same.num_layers
-    (4, 2)
-    """
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "kind": "QuantumNetwork",
-        "dim": network.dim,
-        "num_layers": network.num_layers,
-        "descending": network.descending,
-        "allow_phase": network.allow_phase,
-        "backend": network.backend.name,
-    }
-    if extra:
-        meta["extra"] = extra
-    return _write_archive(path, meta, network.get_flat_params())
-
-
 def _read_meta(archive: np.lib.npyio.NpzFile, expected_kind: str) -> dict:
     if "meta" not in archive or "params" not in archive:
         raise SerializationError(
@@ -157,31 +121,6 @@ def _read_meta(archive: np.lib.npyio.NpzFile, expected_kind: str) -> dict:
             f"expected a {expected_kind} file, got {meta.get('kind')!r}"
         )
     return meta
-
-
-def read_model_meta(path: PathLike, expected_kind: str) -> dict:
-    """The JSON metadata header of a saved model archive.
-
-    Lets higher layers (e.g. :mod:`repro.api`) inspect a checkpoint —
-    including the v2 ``extra`` mapping — without loading parameters.
-    """
-    with _open_archive(path) as archive:
-        return _read_meta(archive, expected_kind)
-
-
-def load_network(path: PathLike) -> QuantumNetwork:
-    """Load a network saved by :func:`save_network`."""
-    with _open_archive(path) as archive:
-        meta = _read_meta(archive, "QuantumNetwork")
-        net = QuantumNetwork(
-            dim=int(meta["dim"]),
-            num_layers=int(meta["num_layers"]),
-            descending=bool(meta["descending"]),
-            allow_phase=bool(meta["allow_phase"]),
-            backend=str(meta.get("backend", "loop")),
-        )
-        net.set_flat_params(np.asarray(archive["params"], dtype=np.float64))
-    return net
 
 
 def save_autoencoder(

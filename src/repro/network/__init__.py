@@ -19,7 +19,6 @@ from repro.network.targets import (
     CompressionTargetStrategy,
     UniformSubspaceTarget,
     TruncatedInputTarget,
-    FixedTarget,
 )
 from repro.network.autoencoder import (
     CompressionNetwork,
@@ -35,7 +34,6 @@ __all__ = [
     "CompressionTargetStrategy",
     "UniformSubspaceTarget",
     "TruncatedInputTarget",
-    "FixedTarget",
     "CompressionNetwork",
     "ReconstructionNetwork",
     "QuantumAutoencoder",

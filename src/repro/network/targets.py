@@ -31,7 +31,6 @@ __all__ = [
     "CompressionTargetStrategy",
     "UniformSubspaceTarget",
     "TruncatedInputTarget",
-    "FixedTarget",
 ]
 
 
@@ -171,50 +170,3 @@ class TruncatedInputTarget(CompressionTargetStrategy):
         if np.any(degenerate):
             compact[:, degenerate] = uniform[:, None]
         return self.projection.embed(compact)
-
-
-class FixedTarget(CompressionTargetStrategy):
-    """An explicit user-supplied target, shared by or specific to samples.
-
-    Parameters
-    ----------
-    projection:
-        The ``P1`` projection (targets must be supported on its subspace).
-    b:
-        Either a length-``N`` vector (shared by all samples) or an
-        ``(N, M)`` matrix of per-sample targets.  Columns must be unit norm
-        and vanish outside the kept subspace.
-    """
-
-    def __init__(self, projection: Projection, b: np.ndarray) -> None:
-        super().__init__(projection)
-        arr = np.asarray(b, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] != projection.dim:
-            raise NetworkConfigError(
-                f"target must have {projection.dim} rows, got shape "
-                f"{arr.shape}"
-            )
-        outside = np.delete(arr, projection.keep, axis=0)
-        if outside.size and np.max(np.abs(outside)) > 1e-12:
-            raise NetworkConfigError(
-                "target has support outside the kept subspace"
-            )
-        norms = np.linalg.norm(arr, axis=0)
-        if not np.allclose(norms, 1.0, atol=1e-8):
-            raise NetworkConfigError(
-                f"target columns must be unit norm, got norms {norms}"
-            )
-        self.b = arr
-
-    def targets(self, encoded: EncodedBatch) -> np.ndarray:
-        self._check(encoded)
-        if self.b.shape[1] == 1:
-            return np.tile(self.b, (1, encoded.num_samples))
-        if self.b.shape[1] != encoded.num_samples:
-            raise DimensionError(
-                f"fixed target has {self.b.shape[1]} columns, batch has "
-                f"{encoded.num_samples} samples"
-            )
-        return self.b.copy()

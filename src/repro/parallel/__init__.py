@@ -26,7 +26,7 @@ from repro.parallel.reducer import (
     tree_reduce,
     validate_parallel_spec,
 )
-from repro.parallel.sharding import Shard, plan_shards, shard_views
+from repro.parallel.sharding import Shard, plan_shards
 
 __all__ = [
     "chunked_apply",
@@ -38,7 +38,6 @@ __all__ = [
     "default_worker_count",
     "plan_shards",
     "resolve_parallel_workers",
-    "shard_views",
     "tree_reduce",
     "validate_parallel_spec",
 ]

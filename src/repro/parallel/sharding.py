@@ -16,13 +16,11 @@ get the extra column), contiguous, ordered, and never empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
-
-import numpy as np
+from typing import List
 
 from repro.exceptions import DimensionError
 
-__all__ = ["Shard", "plan_shards", "shard_views"]
+__all__ = ["Shard", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -99,21 +97,3 @@ Shard(index=4, start=4, stop=5)]
         start += width
     assert start == num_columns
     return shards
-
-
-def shard_views(array: np.ndarray, shards: List[Shard]) -> Iterator[np.ndarray]:
-    """Column views of ``array`` for each shard (no copies).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> x = np.arange(12.0).reshape(2, 6)
-    >>> [v.shape for v in shard_views(x, plan_shards(6, 2))]
-    [(2, 3), (2, 3)]
-    """
-    if array.ndim != 2:
-        raise DimensionError(
-            f"expected a 2-D (N, M) batch, got shape {array.shape}"
-        )
-    for shard in shards:
-        yield array[:, shard.slice]

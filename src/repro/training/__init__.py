@@ -1,17 +1,16 @@
 """Training subsystem implementing Algorithm 1 of the paper.
 
-- :mod:`~repro.training.loss` — the complete-square-variance losses ``L_C``
-  and ``L_R`` (Eq. 5) plus fidelity/MSE variants;
+- :mod:`~repro.training.loss` — the complete-square-variance loss of
+  ``L_C`` and ``L_R`` (Eq. 5);
 - :mod:`~repro.training.gradients` — the paper's forward finite differences
   (Eq. 8, ``Delta = 1e-8``) and two higher-fidelity alternatives
   (central differences, exact adjoint reverse mode);
 - :mod:`~repro.training.optimizers` — plain gradient descent (Eq. 9),
-  momentum, Adam, and learning-rate schedules;
+  momentum and Adam, each at one fixed learning rate;
 - :mod:`~repro.training.trainer` — the independent ``U_C``-then-``U_R``
   training loop with full history recording (losses, accuracy, theta
   trajectories, per-sample amplitude traces — everything Fig. 4 plots);
-- :mod:`~repro.training.metrics` — Eq. (10) pixel accuracy, PSNR, SSIM and
-  state fidelity;
+- :mod:`~repro.training.metrics` — Eq. (10) pixel accuracy, PSNR and SSIM;
 - :mod:`~repro.training.initializers` / callbacks — parameter init
   strategies and training-loop hooks.
 """
@@ -19,9 +18,6 @@
 from repro.training.loss import (
     Loss,
     SquaredErrorLoss,
-    FidelityLoss,
-    compression_loss,
-    reconstruction_loss,
 )
 from repro.training.gradients import (
     GradientMethod,
@@ -33,9 +29,6 @@ from repro.training.optimizers import (
     GradientDescent,
     MomentumGD,
     Adam,
-    ConstantSchedule,
-    ExponentialDecay,
-    StepDecay,
 )
 from repro.training.initializers import get_initializer, available_initializers
 from repro.training.metrics import (
@@ -44,12 +37,9 @@ from repro.training.metrics import (
     mse,
     psnr,
     ssim,
-    batch_fidelities,
 )
 from repro.training.callbacks import (
     Callback,
-    EarlyStopping,
-    ProgressPrinter,
     NaNGuard,
 )
 from repro.training.trainer import (
@@ -62,9 +52,6 @@ from repro.training.trainer import (
 __all__ = [
     "Loss",
     "SquaredErrorLoss",
-    "FidelityLoss",
-    "compression_loss",
-    "reconstruction_loss",
     "GradientMethod",
     "loss_and_gradient",
     "available_gradient_methods",
@@ -72,9 +59,6 @@ __all__ = [
     "GradientDescent",
     "MomentumGD",
     "Adam",
-    "ConstantSchedule",
-    "ExponentialDecay",
-    "StepDecay",
     "get_initializer",
     "available_initializers",
     "pixel_accuracy",
@@ -82,10 +66,7 @@ __all__ = [
     "mse",
     "psnr",
     "ssim",
-    "batch_fidelities",
     "Callback",
-    "EarlyStopping",
-    "ProgressPrinter",
     "NaNGuard",
     "FloatSeries",
     "Trainer",

@@ -2,22 +2,19 @@
 
 Callbacks observe each iteration of the :class:`~repro.training.trainer.
 Trainer` and can request an early stop by returning ``True`` from
-``on_iteration_end``.  They keep the trainer itself small and make the
-experiment harness composable (e.g. the Fig. 4 run records amplitude traces
-via a callback).
+``on_iteration_end``.  :class:`NaNGuard` aborts a diverging run; the Fig. 4
+amplitude traces are recorded by ``Trainer(trace_sample=...)``, not by a
+callback.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Optional
-
-import numpy as np
 
 from repro.exceptions import TrainingError
 
-__all__ = ["Callback", "EarlyStopping", "ProgressPrinter", "NaNGuard", "LambdaCallback"]
+__all__ = ["Callback", "NaNGuard"]
 
 
 class Callback(abc.ABC):
@@ -37,71 +34,6 @@ class Callback(abc.ABC):
         """Called once after the last iteration."""
 
 
-class LambdaCallback(Callback):
-    """Wrap a plain function ``(iteration, record) -> bool | None``."""
-
-    def __init__(
-        self, fn: Callable[[int, dict], Optional[bool]]
-    ) -> None:
-        self.fn = fn
-
-    def on_iteration_end(self, iteration: int, record: dict) -> bool:
-        return bool(self.fn(iteration, record))
-
-
-class EarlyStopping(Callback):
-    """Stop when a monitored value stops improving.
-
-    Parameters
-    ----------
-    monitor:
-        Key into the per-iteration record (e.g. ``"loss_r"``).
-    patience:
-        Number of non-improving iterations tolerated before stopping.
-    min_delta:
-        Minimum decrease that counts as an improvement.
-    """
-
-    def __init__(
-        self,
-        monitor: str = "loss_r",
-        patience: int = 20,
-        min_delta: float = 1e-9,
-    ) -> None:
-        if patience < 1:
-            raise TrainingError(f"patience must be >= 1, got {patience}")
-        if min_delta < 0:
-            raise TrainingError(f"min_delta must be >= 0, got {min_delta}")
-        self.monitor = monitor
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.best = math.inf
-        self.stale = 0
-        self.stopped_at: Optional[int] = None
-
-    def on_train_start(self, context: dict) -> None:
-        self.best = math.inf
-        self.stale = 0
-        self.stopped_at = None
-
-    def on_iteration_end(self, iteration: int, record: dict) -> bool:
-        if self.monitor not in record:
-            raise TrainingError(
-                f"EarlyStopping monitors {self.monitor!r} but the record "
-                f"only has keys {sorted(record)}"
-            )
-        value = float(record[self.monitor])
-        if value < self.best - self.min_delta:
-            self.best = value
-            self.stale = 0
-            return False
-        self.stale += 1
-        if self.stale >= self.patience:
-            self.stopped_at = iteration
-            return True
-        return False
-
-
 class NaNGuard(Callback):
     """Abort training as soon as any monitored value becomes non-finite."""
 
@@ -115,27 +47,4 @@ class NaNGuard(Callback):
                     f"{key} became non-finite at iteration {iteration}; "
                     "reduce the learning rate"
                 )
-        return False
-
-
-class ProgressPrinter(Callback):
-    """Print a one-line status every ``every`` iterations."""
-
-    def __init__(
-        self,
-        every: int = 10,
-        sink: Callable[[str], None] = print,
-    ) -> None:
-        if every < 1:
-            raise TrainingError(f"every must be >= 1, got {every}")
-        self.every = int(every)
-        self.sink = sink
-
-    def on_iteration_end(self, iteration: int, record: dict) -> bool:
-        if iteration % self.every == 0:
-            parts = [f"iter {iteration:4d}"]
-            for key in ("loss_c", "loss_r", "accuracy"):
-                if key in record:
-                    parts.append(f"{key}={float(record[key]):.6f}")
-            self.sink("  ".join(parts))
         return False

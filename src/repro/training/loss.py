@@ -1,4 +1,4 @@
-"""Loss functions (Eq. 5 of the paper and variants).
+"""Loss functions (Eq. 5 of the paper).
 
 The paper's "complete square variance" loss is the squared error between
 output and target amplitudes, summed over basis states and samples:
@@ -13,9 +13,8 @@ the raw sums; :class:`SquaredErrorLoss` exposes both via ``reduction``.
 
 Every loss implements ``value(output, target)`` and the output-side
 gradient ``dvalue(output, target) = dL/d(output)``, which is all the
-gradient engines in :mod:`repro.training.gradients` need — so swapping in
-:class:`FidelityLoss` (the quantum-autoencoder objective of paper ref. [15])
-works with every training method unchanged.
+gradient engines in :mod:`repro.training.gradients` need, so any
+:class:`Loss` subclass works with every training method unchanged.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from repro.exceptions import DimensionError, TrainingError
 __all__ = [
     "Loss",
     "SquaredErrorLoss",
-    "FidelityLoss",
-    "compression_loss",
-    "reconstruction_loss",
 ]
 
 Reduction = Literal["sum", "mean"]
@@ -164,85 +160,3 @@ class SquaredErrorLoss(Loss):
         else:
             totals = np.sum(diff * diff, axis=axes)
         return (totals + rest) * self._scale(np.asarray(target))
-
-
-class FidelityLoss(Loss):
-    """``L = sum_i (1 - |<out_i|target_i>|^2)`` — infidelity objective.
-
-    This is the training objective of quantum autoencoders (paper ref.
-    [15]): instead of matching amplitudes entry-wise it only requires the
-    output *state* to match the target state (global phase/sign free).
-    Included as an ablation alternative to Eq. (5).
-
-    Parameters
-    ----------
-    reduction:
-        ``"sum"`` over samples or ``"mean"``.
-    """
-
-    def __init__(self, reduction: Reduction = "sum") -> None:
-        if reduction not in ("sum", "mean"):
-            raise TrainingError(
-                f"reduction must be 'sum' or 'mean', got {reduction!r}"
-            )
-        self.reduction = reduction
-
-    def _columns(self, arr: np.ndarray) -> np.ndarray:
-        return arr.reshape(arr.shape[0], -1)
-
-    def value(self, output: np.ndarray, target: np.ndarray) -> float:
-        _check_pair(output, target)
-        out = self._columns(output)
-        tgt = self._columns(target)
-        overlaps = np.einsum("nm,nm->m", np.conj(tgt), out)
-        infid = 1.0 - np.abs(overlaps) ** 2
-        total = float(np.sum(infid))
-        return total / out.shape[1] if self.reduction == "mean" else total
-
-    def dvalue(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _check_pair(output, target)
-        out = self._columns(output)
-        tgt = self._columns(target)
-        overlaps = np.einsum("nm,nm->m", np.conj(tgt), out)  # <t|o> per col
-        # Gradient convention: dL = Re <conj(lam), d out>.  With
-        # L = -|<t|o>|^2, dL = -2 Re(conj(<t|o>) <t|d o>), so
-        # lam = -2 <t|o> t (no conjugate on the overlap); for real arrays
-        # this reduces to -2 <t|o> t either way.
-        grad = -2.0 * tgt * overlaps[None, :]
-        if not np.iscomplexobj(output):
-            grad = np.real(grad)
-        if self.reduction == "mean":
-            grad = grad / out.shape[1]
-        return grad.reshape(output.shape)
-
-    def value_many(
-        self,
-        outputs: np.ndarray,
-        target: np.ndarray,
-        keep: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        outs = np.asarray(outputs)
-        tgt = self._columns(np.asarray(target))
-        if keep is not None:
-            # Zero rows of the projected output drop out of the overlap,
-            # so restricting the target to the kept rows is exact.
-            tgt = tgt[np.asarray(keep, dtype=bool)]
-        if outs.ndim != 3 or outs.shape[1:] != tgt.shape:
-            return super().value_many(outputs, target, keep=keep)
-        overlaps = np.einsum("nm,pnm->pm", np.conj(tgt), outs)
-        totals = np.sum(1.0 - np.abs(overlaps) ** 2, axis=1)
-        return totals / tgt.shape[1] if self.reduction == "mean" else totals
-
-
-def compression_loss(
-    a: np.ndarray, b: np.ndarray, reduction: Reduction = "sum"
-) -> float:
-    """``L_C`` of Eq. (5): squared error between ``P1 U_C A`` and targets ``b``."""
-    return SquaredErrorLoss(reduction).value(np.asarray(a), np.asarray(b))
-
-
-def reconstruction_loss(
-    B: np.ndarray, A: np.ndarray, reduction: Reduction = "sum"
-) -> float:
-    """``L_R`` of Eq. (5): squared error between outputs ``B`` and inputs ``A``."""
-    return SquaredErrorLoss(reduction).value(np.asarray(B), np.asarray(A))

@@ -8,12 +8,12 @@ pixels whose reconstruction error is within a tolerance (0.01):
 :func:`paper_accuracy` additionally applies the paper's Section IV-B
 threshold snapping before comparison (the regime in which 97.75 % is
 reported).  PSNR and a single-scale SSIM are included for grayscale
-experiments, and :func:`batch_fidelities` measures quantum-state agreement.
+experiments.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,12 +22,10 @@ from repro.exceptions import DimensionError
 
 __all__ = [
     "pixel_accuracy",
-    "per_sample_accuracy",
     "paper_accuracy",
     "mse",
     "psnr",
     "ssim",
-    "batch_fidelities",
 ]
 
 
@@ -61,20 +59,6 @@ def pixel_accuracy(
         raise DimensionError(f"tol must be non-negative, got {tol}")
     a, b = _pair(x_hat, x)
     return float(np.mean(np.abs(a - b) <= tol) * 100.0)
-
-
-def per_sample_accuracy(
-    x_hat: np.ndarray, x: np.ndarray, tol: float = 0.01
-) -> np.ndarray:
-    """Eq. (10) evaluated per row of an ``(M, N)`` pair — one ``S`` per image."""
-    if tol < 0:
-        raise DimensionError(f"tol must be non-negative, got {tol}")
-    a, b = _pair(x_hat, x)
-    if a.ndim == 1:
-        a, b = a[None, :], b[None, :]
-    flat_a = a.reshape(a.shape[0], -1)
-    flat_b = b.reshape(b.shape[0], -1)
-    return np.mean(np.abs(flat_a - flat_b) <= tol, axis=1) * 100.0
 
 
 def paper_accuracy(
@@ -133,22 +117,3 @@ def ssim(
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(num / den)
-
-
-def batch_fidelities(
-    output_amplitudes: np.ndarray, target_amplitudes: np.ndarray
-) -> np.ndarray:
-    """Column-wise state fidelities ``|<target_i|output_i>|^2``.
-
-    Sub-normalised columns (e.g. projected compression outputs) yield
-    fidelities below 1 even for perfectly aligned states — this is the
-    compression information loss.
-    """
-    a = np.asarray(output_amplitudes)
-    b = np.asarray(target_amplitudes)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionError(
-            f"expected matching (N, M) arrays, got {a.shape} and {b.shape}"
-        )
-    overlaps = np.einsum("nm,nm->m", np.conj(b), a)
-    return np.abs(overlaps) ** 2

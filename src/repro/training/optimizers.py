@@ -1,27 +1,23 @@
-"""Parameter-update rules and learning-rate schedules.
+"""Parameter-update rules.
 
 The paper uses plain gradient descent,
 ``theta(t+1) = theta(t) - eta * dL/dtheta`` (Eq. 9), with ``eta = 0.01``.
 :class:`GradientDescent` implements it verbatim; :class:`MomentumGD` and
-:class:`Adam` are provided for the optimizer ablation, and all three accept
-either a float learning rate or a schedule object.
+:class:`Adam` are provided for the optimizer ablation.  All three take one
+fixed float learning rate.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import OptimizerError
 
 __all__ = [
-    "LearningRateSchedule",
-    "ConstantSchedule",
-    "ExponentialDecay",
-    "StepDecay",
     "Optimizer",
     "GradientDescent",
     "MomentumGD",
@@ -29,93 +25,19 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# learning-rate schedules
-# ----------------------------------------------------------------------
-class LearningRateSchedule(abc.ABC):
-    """Maps an iteration index ``t`` (0-based) to a learning rate."""
-
-    @abc.abstractmethod
-    def rate(self, t: int) -> float:
-        ...
-
-    def __call__(self, t: int) -> float:
-        if t < 0:
-            raise OptimizerError(f"iteration index must be >= 0, got {t}")
-        lr = self.rate(t)
-        if not math.isfinite(lr) or lr <= 0:
-            raise OptimizerError(f"schedule produced invalid rate {lr}")
-        return lr
-
-
-class ConstantSchedule(LearningRateSchedule):
-    """Fixed learning rate (the paper's ``eta = 0.01``)."""
-
-    def __init__(self, lr: float) -> None:
-        if not math.isfinite(lr) or lr <= 0:
-            raise OptimizerError(f"lr must be positive and finite, got {lr}")
-        self.lr = float(lr)
-
-    def rate(self, t: int) -> float:
-        return self.lr
-
-
-class ExponentialDecay(LearningRateSchedule):
-    """``lr * decay**t`` with ``0 < decay <= 1``."""
-
-    def __init__(self, lr: float, decay: float = 0.99) -> None:
-        if not math.isfinite(lr) or lr <= 0:
-            raise OptimizerError(f"lr must be positive and finite, got {lr}")
-        if not 0.0 < decay <= 1.0:
-            raise OptimizerError(f"decay must be in (0, 1], got {decay}")
-        self.lr = float(lr)
-        self.decay = float(decay)
-
-    def rate(self, t: int) -> float:
-        return self.lr * self.decay**t
-
-
-class StepDecay(LearningRateSchedule):
-    """Halve (or scale by ``factor``) every ``step_size`` iterations."""
-
-    def __init__(
-        self, lr: float, step_size: int = 50, factor: float = 0.5
-    ) -> None:
-        if not math.isfinite(lr) or lr <= 0:
-            raise OptimizerError(f"lr must be positive and finite, got {lr}")
-        if step_size < 1:
-            raise OptimizerError(f"step_size must be >= 1, got {step_size}")
-        if not 0.0 < factor <= 1.0:
-            raise OptimizerError(f"factor must be in (0, 1], got {factor}")
-        self.lr = float(lr)
-        self.step_size = int(step_size)
-        self.factor = float(factor)
-
-    def rate(self, t: int) -> float:
-        return self.lr * self.factor ** (t // self.step_size)
-
-
-def _as_schedule(
-    lr: Union[float, LearningRateSchedule]
-) -> LearningRateSchedule:
-    if isinstance(lr, LearningRateSchedule):
-        return lr
-    return ConstantSchedule(float(lr))
-
-
-# ----------------------------------------------------------------------
-# optimizers
-# ----------------------------------------------------------------------
 class Optimizer(abc.ABC):
     """Stateful parameter-update rule.
 
     Subclasses implement :meth:`step`, which consumes the current parameter
     vector and gradient and returns the updated parameters.  The iteration
-    counter feeds the learning-rate schedule.
+    counter ``t`` feeds Adam's bias correction.
     """
 
-    def __init__(self, lr: Union[float, LearningRateSchedule]) -> None:
-        self.schedule = _as_schedule(lr)
+    def __init__(self, lr: float) -> None:
+        lr = float(lr)
+        if not math.isfinite(lr) or lr <= 0:
+            raise OptimizerError(f"lr must be positive and finite, got {lr}")
+        self.lr = lr
         self.t = 0
 
     def _validate(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -150,17 +72,14 @@ class GradientDescent(Optimizer):
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self._validate(params, grad)
-        lr = self.schedule(self.t)
         self.t += 1
-        return params - lr * grad
+        return params - self.lr * grad
 
 
 class MomentumGD(Optimizer):
     """Heavy-ball momentum: ``v = mu*v - lr*g; theta += v``."""
 
-    def __init__(
-        self, lr: Union[float, LearningRateSchedule], momentum: float = 0.9
-    ) -> None:
+    def __init__(self, lr: float, momentum: float = 0.9) -> None:
         super().__init__(lr)
         if not 0.0 <= momentum < 1.0:
             raise OptimizerError(
@@ -175,9 +94,8 @@ class MomentumGD(Optimizer):
             self._velocity = np.zeros_like(params)
         elif self._velocity.shape != params.shape:
             raise OptimizerError("parameter shape changed mid-training")
-        lr = self.schedule(self.t)
         self.t += 1
-        self._velocity = self.momentum * self._velocity - lr * grad
+        self._velocity = self.momentum * self._velocity - self.lr * grad
         return params + self._velocity
 
     def reset(self) -> None:
@@ -190,7 +108,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        lr: Union[float, LearningRateSchedule] = 0.01,
+        lr: float = 0.01,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -215,13 +133,12 @@ class Adam(Optimizer):
             self._v = np.zeros_like(params)
         elif self._m.shape != params.shape:
             raise OptimizerError("parameter shape changed mid-training")
-        lr = self.schedule(self.t)
         self.t += 1
         self._m = self.beta1 * self._m + (1 - self.beta1) * grad
         self._v = self.beta2 * self._v + (1 - self.beta2) * grad**2
         m_hat = self._m / (1 - self.beta1**self.t)
         v_hat = self._v / (1 - self.beta2**self.t)
-        return params - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def reset(self) -> None:
         super().reset()

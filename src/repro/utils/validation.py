@@ -1,38 +1,22 @@
 """Array-validation helpers shared across subsystems.
 
 These functions centralise the shape/dtype/sanity checks that the paper's
-equations implicitly assume (power-of-two dimensions, finite values,
-normalised probability vectors) and raise the typed errors from
-:mod:`repro.exceptions` with actionable messages.
+equations implicitly assume (power-of-two dimensions, finite values) and
+raise the typed errors from :mod:`repro.exceptions` with actionable
+messages.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import DimensionError
 
 __all__ = [
-    "as_float_vector",
     "as_float_matrix",
     "check_power_of_two",
-    "check_probability_vector",
     "num_qubits_for",
 ]
-
-
-def as_float_vector(x: np.ndarray | list, name: str = "x") -> np.ndarray:
-    """Coerce ``x`` to a contiguous 1-D float64 array, validating finiteness."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name} contains NaN or Inf values")
-    return arr
 
 
 def as_float_matrix(x: np.ndarray | list, name: str = "X") -> np.ndarray:
@@ -73,16 +57,3 @@ def num_qubits_for(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DimensionError(f"dim must be a positive int, got {dim!r}")
     return int(np.ceil(np.log2(int(dim)))) if dim > 1 else 0
-
-
-def check_probability_vector(
-    p: np.ndarray, atol: float = 1e-8, name: str = "p"
-) -> np.ndarray:
-    """Validate that ``p`` is a probability vector (non-negative, sums to 1)."""
-    arr = as_float_vector(p, name=name)
-    if np.any(arr < -atol):
-        raise DimensionError(f"{name} has negative entries (min {arr.min():.3g})")
-    total = float(arr.sum())
-    if abs(total - 1.0) > max(atol, 1e-12 * arr.size):
-        raise DimensionError(f"{name} must sum to 1, got {total:.12g}")
-    return np.clip(arr, 0.0, None)

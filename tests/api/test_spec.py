@@ -35,6 +35,9 @@ class TestValidation:
             {"parallel": "cluster"},
             {"parallel": "pool:zero"},
             {"parallel": "pool:0"},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.svd_compress import (
-    svd_energy_profile,
     truncated_svd_reconstruction,
 )
 from repro.exceptions import BaselineError
@@ -51,18 +50,3 @@ class TestTruncatedSVD:
     def test_1d_rejected(self):
         with pytest.raises(BaselineError):
             truncated_svd_reconstruction(np.ones(4), 1)
-
-
-class TestEnergyProfile:
-    def test_monotone_to_one(self, rng):
-        prof = svd_energy_profile(rng.normal(size=(5, 7)))
-        assert np.all(np.diff(prof) >= -1e-12)
-        assert prof[-1] == pytest.approx(1.0)
-
-    def test_rank4_saturates_at_four(self, paper_images):
-        prof = svd_energy_profile(paper_images)
-        assert prof[3] == pytest.approx(1.0)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(BaselineError):
-            svd_energy_profile(np.zeros((3, 3)))

@@ -6,7 +6,6 @@ import pytest
 from repro.data.binary_images import (
     block_basis,
     paper_dataset,
-    random_binary_dataset,
     rank_limited_binary_dataset,
 )
 from repro.exceptions import DatasetError
@@ -69,25 +68,6 @@ class TestPaperDataset:
     def test_invalid_num_samples(self):
         with pytest.raises(DatasetError):
             paper_dataset(num_samples=0)
-
-
-class TestRandomBinary:
-    def test_shape_and_binary(self):
-        ds = random_binary_dataset(12, image_size=4, seed=0)
-        assert ds.num_samples == 12
-        assert ds.is_binary
-
-    def test_no_zero_images_even_at_low_density(self):
-        ds = random_binary_dataset(50, image_size=4, density=0.02, seed=1)
-        assert np.all(ds.matrix().sum(axis=1) > 0)
-
-    def test_generic_set_is_high_rank(self):
-        ds = random_binary_dataset(30, image_size=4, seed=3)
-        assert ds.rank() > 10
-
-    def test_invalid_density(self):
-        with pytest.raises(DatasetError):
-            random_binary_dataset(5, density=0.0)
 
 
 class TestRankLimited:

@@ -10,9 +10,7 @@ from repro.encoding.amplitude import (
     AmplitudeCodec,
     EncodedBatch,
     decode_batch,
-    decode_vector,
     encode_batch,
-    encode_vector,
 )
 from repro.exceptions import (
     DimensionError,
@@ -22,76 +20,29 @@ from repro.exceptions import (
 from repro.simulator.state import StateBatch
 
 
-class TestEncodeVector:
+class TestEncodeBatch:
     def test_paper_rule(self):
         # Eq. (1): A_j = x_j / sqrt(sum x^2)
-        state, sq = encode_vector([3.0, 4.0])
-        assert sq == pytest.approx(25.0)
-        assert state.amplitudes.tolist() == pytest.approx([0.6, 0.8])
-
-    def test_unit_norm_output(self):
-        state, _ = encode_vector([1.0, 2.0, 3.0, 4.0])
-        assert state.norm() == pytest.approx(1.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NormalizationError, match="all-zero"):
-            encode_vector([0.0, 0.0])
-
-    def test_overflowing_norm_rejected(self):
-        with pytest.raises(NormalizationError, match="overflow"):
-            encode_vector([1e200, 1e200])
+        enc = encode_batch([[3.0, 4.0]])
+        assert enc.squared_norms.tolist() == pytest.approx([25.0])
+        assert enc.amplitudes()[:, 0].tolist() == pytest.approx([0.6, 0.8])
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
-            encode_vector([1.0, 2.0, 3.0])
-
-    def test_padding_to_power_of_two(self):
-        state, sq = encode_vector([1.0, 1.0, 1.0], pad_to_power_of_two=True)
-        assert state.dim == 4
-        assert state.amplitudes[3] == 0.0
-        assert sq == pytest.approx(3.0)
+            encode_batch(np.ones((2, 3)))
 
     @given(
         arrays(
             np.float64,
-            st.sampled_from([2, 4, 8, 16]),
+            st.tuples(st.integers(1, 3), st.sampled_from([2, 4, 8, 16])),
             elements=st.floats(0, 100, allow_nan=False),
-        ).filter(lambda v: np.dot(v, v) > 1e-8)
+        ).filter(lambda m: bool(np.all(np.einsum("mn,mn->m", m, m) > 1e-8)))
     )
-    def test_property_roundtrip(self, x):
-        state, sq = encode_vector(x)
-        recovered = decode_vector(state.amplitudes, sq)
-        assert np.allclose(recovered, np.abs(x), atol=1e-9)
+    def test_property_roundtrip(self, X):
+        enc = encode_batch(X)
+        recovered = decode_batch(enc.amplitudes(), enc.squared_norms)
+        assert np.allclose(recovered, X, atol=1e-9)
 
-
-class TestDecodeVector:
-    def test_eq2(self):
-        # x_hat = sqrt(B^2 * sum x^2)
-        out = decode_vector(np.array([0.6, 0.8]), 25.0)
-        assert out.tolist() == pytest.approx([3.0, 4.0])
-
-    def test_sign_lost(self):
-        out = decode_vector(np.array([-0.6, 0.8]), 25.0)
-        assert out.tolist() == pytest.approx([3.0, 4.0])
-
-    def test_complex_amplitudes_magnitudes(self):
-        out = decode_vector(np.array([0.6j, 0.8]), 25.0)
-        assert out.tolist() == pytest.approx([3.0, 4.0])
-
-    def test_invalid_norm_rejected(self):
-        with pytest.raises(EncodingError):
-            decode_vector(np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(EncodingError):
-            decode_vector(np.array([1.0, 0.0]), -1.0)
-        with pytest.raises(EncodingError):
-            decode_vector(np.array([1.0, 0.0]), np.nan)
-
-    def test_2d_rejected(self):
-        with pytest.raises(DimensionError):
-            decode_vector(np.eye(2), 1.0)
-
-
-class TestEncodeBatch:
     def test_shapes_and_layout(self, paper_images):
         enc = encode_batch(paper_images)
         assert enc.states.data.shape == (16, 25)  # columns = samples
@@ -140,6 +91,27 @@ class TestEncodeBatch:
         bad[0] = -1.0
         with pytest.raises(EncodingError):
             decode_batch(enc.states.data, bad)
+
+
+class TestDecodeBatch:
+    def test_eq2(self):
+        # x_hat = sqrt(B^2 * sum x^2)
+        out = decode_batch(np.array([[0.6], [0.8]]), np.array([25.0]))
+        assert out.tolist() == [pytest.approx([3.0, 4.0])]
+
+    def test_sign_and_phase_lost(self):
+        amps = np.array([[-0.6, 0.6j], [0.8, 0.8]])
+        out = decode_batch(amps, np.array([25.0, 25.0]))
+        assert np.allclose(out, [[3.0, 4.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_norm_rejected(self, bad):
+        with pytest.raises(EncodingError):
+            decode_batch(np.array([[1.0], [0.0]]), np.array([bad]))
+
+    def test_1d_rejected(self):
+        with pytest.raises(DimensionError):
+            decode_batch(np.array([0.6, 0.8]), np.array([25.0]))
 
 
 class TestEncodedBatch:

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.encoding.images import (
-    amplitude_binary_threshold,
     apply_paper_threshold,
-    binarize,
     flatten_images,
     unflatten_images,
 )
@@ -58,19 +56,6 @@ class TestFlattenUnflatten:
         )
 
 
-class TestBinarize:
-    def test_default_threshold(self):
-        out = binarize(np.array([0.2, 0.5, 0.9]))
-        assert out.tolist() == [0.0, 1.0, 1.0]
-
-    def test_custom_threshold(self):
-        assert binarize(np.array([0.2]), threshold=0.1).tolist() == [1.0]
-
-    def test_nonfinite_threshold_rejected(self):
-        with pytest.raises(EncodingError):
-            binarize(np.zeros(2), threshold=np.nan)
-
-
 class TestPaperThreshold:
     def test_snapping_rule(self):
         # Section IV-B: x <= 0.01 -> 0; x >= 0.99 -> 1; middle untouched.
@@ -100,18 +85,3 @@ class TestPaperThreshold:
     def test_property_idempotent(self, x):
         once = apply_paper_threshold(x)
         assert np.array_equal(apply_paper_threshold(once), once)
-
-
-class TestAmplitudeBinaryThreshold:
-    def test_hard_cut(self):
-        # Section IV-B: "R will be 0 if lower than 0.5; otherwise 1"
-        out = amplitude_binary_threshold(np.array([0.49, 0.5, 0.51]))
-        assert out.tolist() == [0.0, 1.0, 1.0]
-
-    def test_output_strictly_binary(self, rng):
-        out = amplitude_binary_threshold(rng.random(100))
-        assert set(np.unique(out)) <= {0.0, 1.0}
-
-    def test_nonfinite_cut_rejected(self):
-        with pytest.raises(EncodingError):
-            amplitude_binary_threshold(np.zeros(2), cut=np.inf)

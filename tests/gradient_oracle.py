@@ -21,7 +21,11 @@ only:
   not have: each parameter's derivative-gate output ``S_i dG_i P_i X``
   read off the backend's workspace, or off :func:`reference_workspace`
   on a backend without one, so it is the independent check of
-  ``"adjoint"``.
+  ``"adjoint"``;
+- :class:`InfidelityLoss` is a second :class:`~repro.training.loss.Loss`
+  (``value`` and ``dvalue`` only), so the tests exercise the gradient
+  engines' loss-agnostic paths, the base ``Loss.value_many`` fallback
+  and the complex ``lam`` convention on a loss other than Eq. (5).
 
 Tests import it as ``gradient_oracle`` (this directory is on ``sys.path``
 next to ``conftest.py``).
@@ -49,12 +53,40 @@ from repro.training.gradients import (
 from repro.training.loss import Loss
 
 __all__ = [
+    "InfidelityLoss",
     "derivative_output",
     "looped_loss_and_gradient",
     "output_with_block",
     "perturbed_output",
     "reference_workspace",
 ]
+
+
+class InfidelityLoss(Loss):
+    """``L = sum_i (1 - |<target_i|out_i>|^2)``, summed over samples.
+
+    The quantum-autoencoder objective of paper ref. [15]: the output state
+    must match the target state up to a global phase.
+    """
+
+    def value(self, output: np.ndarray, target: np.ndarray) -> float:
+        out = output.reshape(output.shape[0], -1)
+        tgt = target.reshape(target.shape[0], -1)
+        overlaps = np.einsum("nm,nm->m", np.conj(tgt), out)
+        return float(np.sum(1.0 - np.abs(overlaps) ** 2))
+
+    def dvalue(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
+        out = output.reshape(output.shape[0], -1)
+        tgt = target.reshape(target.shape[0], -1)
+        overlaps = np.einsum("nm,nm->m", np.conj(tgt), out)
+        # Gradient convention: dL = Re <conj(lam), d out>.  With
+        # L = -|<t|o>|^2, dL = -2 Re(conj(<t|o>) <t|d o>), so
+        # lam = -2 <t|o> t (no conjugate on the overlap); for real arrays
+        # this reduces to -2 <t|o> t either way.
+        grad = -2.0 * tgt * overlaps[None, :]
+        if not np.iscomplexobj(output):
+            grad = np.real(grad)
+        return grad.reshape(output.shape)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,19 @@ import pytest
 from repro.exceptions import SerializationError
 from repro.io.model_io import (
     load_autoencoder,
-    load_network,
-    read_model_meta,
+    load_autoencoder_with_meta,
     save_autoencoder,
-    save_network,
 )
-from repro.network import Projection, QuantumAutoencoder, QuantumNetwork
+from repro.network import Projection, QuantumAutoencoder
+
+
+def _write_raw(path, meta, params):
+    """An archive with a hand-written metadata header."""
+    np.savez(
+        path,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        params=params,
+    )
 
 
 def _write_v1_autoencoder(path, ae):
@@ -28,50 +35,11 @@ def _write_v1_autoencoder(path, ae):
         "allow_phase": ae.uc.allow_phase,
         "keep": ae.projection.keep.tolist(),
     }
-    np.savez(
+    _write_raw(
         path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        params=np.concatenate(
-            [ae.uc.get_flat_params(), ae.ur.get_flat_params()]
-        ),
+        meta,
+        np.concatenate([ae.uc.get_flat_params(), ae.ur.get_flat_params()]),
     )
-
-
-class TestNetworkRoundtrip:
-    def test_parameters_identical(self, tmp_path, rng):
-        net = QuantumNetwork(8, 3, descending=True).initialize(
-            "uniform", rng=rng
-        )
-        path = tmp_path / "net.npz"
-        save_network(net, path)
-        clone = load_network(path)
-        assert clone.dim == 8
-        assert clone.num_layers == 3
-        assert clone.descending is True
-        assert np.allclose(clone.get_flat_params(), net.get_flat_params())
-        assert np.allclose(clone.unitary(), net.unitary())
-
-    def test_phase_network_roundtrip(self, tmp_path, rng):
-        net = QuantumNetwork(4, 2, allow_phase=True)
-        net.set_flat_params(rng.uniform(0, 1, net.num_parameters))
-        path = tmp_path / "c.npz"
-        save_network(net, path)
-        clone = load_network(path)
-        assert clone.allow_phase
-        assert np.allclose(clone.get_flat_params(), net.get_flat_params())
-
-    def test_wrong_kind_rejected(self, tmp_path, rng):
-        ae = QuantumAutoencoder(4, 2, 1, 1)
-        path = tmp_path / "ae.npz"
-        save_autoencoder(ae, path)
-        with pytest.raises(SerializationError, match="QuantumNetwork"):
-            load_network(path)
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        np.savez(path, foo=np.ones(3))
-        with pytest.raises(SerializationError, match="meta"):
-            load_network(path)
 
 
 class TestAutoencoderRoundtrip:
@@ -102,11 +70,17 @@ class TestAutoencoderRoundtrip:
             ae.forward(paper_images).x_hat,
         )
 
-    def test_wrong_kind_rejected(self, tmp_path, rng):
-        net = QuantumNetwork(4, 2)
+    def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "net.npz"
-        save_network(net, path)
+        meta = {"format_version": 2, "kind": "QuantumNetwork", "dim": 4}
+        _write_raw(path, meta, np.zeros(6))
         with pytest.raises(SerializationError, match="QuantumAutoencoder"):
+            load_autoencoder(path)
+
+    def test_garbage_file_rejected(self, tmp_path):
+        path = tmp_path / "garbage.npz"
+        np.savez(path, foo=np.ones(3))
+        with pytest.raises(SerializationError, match="meta"):
             load_autoencoder(path)
 
 
@@ -137,14 +111,6 @@ class TestPipelineStatePersistence:
             clone.forward(X).x_hat, ae.forward(X).x_hat
         )
 
-    def test_network_backend_round_trip(self, tmp_path, rng):
-        net = QuantumNetwork(4, 2, backend="fused").initialize(
-            "uniform", rng=rng
-        )
-        path = tmp_path / "net.npz"
-        save_network(net, path)
-        assert load_network(path).backend.name == "fused"
-
     def test_v1_archive_loads_with_defaults(self, tmp_path, rng):
         ae = QuantumAutoencoder(8, 2, 2, 2).initialize("uniform", rng=rng)
         path = tmp_path / "v1.npz"
@@ -156,30 +122,19 @@ class TestPipelineStatePersistence:
         assert np.array_equal(clone.forward(X).x_hat, ae.forward(X).x_hat)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        meta = {"format_version": 3, "kind": "QuantumNetwork"}
+        meta = {"format_version": 3, "kind": "QuantumAutoencoder"}
         path = tmp_path / "v3.npz"
-        np.savez(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            params=np.zeros(3),
-        )
+        _write_raw(path, meta, np.zeros(3))
         with pytest.raises(SerializationError, match="version"):
-            load_network(path)
+            load_autoencoder(path)
 
     def test_extra_meta_round_trips(self, tmp_path, rng):
         ae = QuantumAutoencoder(4, 2, 1, 1).initialize("uniform", rng=rng)
         path = tmp_path / "ae.npz"
         save_autoencoder(ae, path, extra={"note": {"tag": "v2-test"}})
-        meta = read_model_meta(path, "QuantumAutoencoder")
+        _, meta = load_autoencoder_with_meta(path)
         assert meta["extra"]["note"]["tag"] == "v2-test"
         assert meta["format_version"] == 2
-
-    def test_read_model_meta_checks_kind(self, tmp_path, rng):
-        net = QuantumNetwork(4, 1)
-        path = tmp_path / "net.npz"
-        save_network(net, path)
-        with pytest.raises(SerializationError, match="QuantumAutoencoder"):
-            read_model_meta(path, "QuantumAutoencoder")
 
 
 class TestCorruptedCheckpoints:

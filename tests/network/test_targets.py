@@ -7,7 +7,6 @@ from repro.encoding.amplitude import encode_batch
 from repro.exceptions import DimensionError, NetworkConfigError
 from repro.network.projection import Projection
 from repro.network.targets import (
-    FixedTarget,
     TruncatedInputTarget,
     UniformSubspaceTarget,
 )
@@ -98,42 +97,3 @@ class TestTruncatedInputTarget:
         w = np.ones((4, 16))
         with pytest.raises(NetworkConfigError, match="orthonormal"):
             TruncatedInputTarget(projection, mixing=w)
-
-
-class TestFixedTarget:
-    def test_shared_vector_tiled(self, encoded, projection):
-        b_vec = np.zeros(16)
-        b_vec[projection.keep] = 0.5
-        t = FixedTarget(projection, b_vec)
-        b = t.targets(encoded)
-        assert b.shape == (16, 25)
-        assert np.allclose(b, b_vec[:, None])
-
-    def test_support_outside_subspace_rejected(self, projection):
-        bad = np.zeros(16)
-        bad[0] = 1.0  # index 0 is not kept by Projection.last(16, 4)
-        with pytest.raises(NetworkConfigError, match="outside"):
-            FixedTarget(projection, bad)
-
-    def test_non_unit_norm_rejected(self, projection):
-        bad = np.zeros(16)
-        bad[projection.keep] = 0.1
-        with pytest.raises(NetworkConfigError, match="unit norm"):
-            FixedTarget(projection, bad)
-
-    def test_per_sample_matrix(self, projection):
-        m = 3
-        b = np.zeros((16, m))
-        b[projection.keep[0]] = 1.0
-        t = FixedTarget(projection, b)
-        X = np.ones((m, 16))
-        enc = encode_batch(X)
-        assert t.targets(enc).shape == (16, m)
-
-    def test_per_sample_count_mismatch(self, projection):
-        b = np.zeros((16, 3))
-        b[projection.keep[0]] = 1.0
-        t = FixedTarget(projection, b)
-        enc = encode_batch(np.ones((5, 16)))
-        with pytest.raises(DimensionError):
-            t.targets(enc)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import DimensionError
-from repro.parallel.sharding import Shard, plan_shards, shard_views
+from repro.parallel.sharding import Shard, plan_shards
 
 
 class TestPlanShards:
@@ -67,16 +67,3 @@ class TestPlanShards:
         assert len(plan) <= k
         if len(plan) > 1:
             assert min(widths) >= min_cols
-
-
-class TestShardViews:
-    def test_views_alias_columns(self):
-        x = np.arange(12.0).reshape(3, 4)
-        views = list(shard_views(x, plan_shards(4, 2)))
-        views[0][:] = -1.0
-        assert np.all(x[:, :2] == -1.0)
-        assert np.all(x[:, 2:] == np.arange(12.0).reshape(3, 4)[:, 2:])
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(DimensionError):
-            list(shard_views(np.ones(5), plan_shards(5, 2)))

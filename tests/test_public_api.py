@@ -1,6 +1,7 @@
 """Public-API surface tests: everything exported must resolve and work."""
 
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ SUBPACKAGES = [
     "repro.io",
     "repro.utils",
 ]
+
+ALL_MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+)
 
 
 class TestTopLevel:
@@ -50,14 +56,18 @@ class TestSubpackages:
         mod = importlib.import_module(module_name)
         assert mod is not None
 
-    def test_all_resolves(self, module_name):
-        mod = importlib.import_module(module_name)
-        for name in getattr(mod, "__all__", []):
-            assert hasattr(mod, name), f"{module_name}.{name}"
-
     def test_has_docstring(self, module_name):
         mod = importlib.import_module(module_name)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 40
+
+
+@pytest.mark.parametrize("module_name", ALL_MODULES)
+def test_all_resolves(module_name):
+    """Every module's ``__all__`` names only what the module defines, so
+    a deleted function cannot leave a stale entry behind."""
+    mod = importlib.import_module(module_name)
+    for name in getattr(mod, "__all__", []):
+        assert hasattr(mod, name), f"{module_name}.{name}"
 
 
 class TestMinimalWorkflow:

@@ -12,17 +12,17 @@ alpha gradients read off the same tape.
 
 import numpy as np
 import pytest
-from gradient_oracle import looped_loss_and_gradient
+from gradient_oracle import InfidelityLoss, looped_loss_and_gradient
 
 from repro.network import Projection, QuantumNetwork
 from repro.training.gradients import loss_and_gradient
-from repro.training.loss import FidelityLoss, SquaredErrorLoss
+from repro.training.loss import SquaredErrorLoss
 
 DIMS = [2, 3, 4, 5, 8, 16]
 LOSSES = {
     "se-sum": SquaredErrorLoss("sum"),
     "se-mean": SquaredErrorLoss("mean"),
-    "fidelity": FidelityLoss(),
+    "fidelity": InfidelityLoss(),
 }
 
 

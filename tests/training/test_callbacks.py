@@ -3,54 +3,7 @@
 import pytest
 
 from repro.exceptions import TrainingError
-from repro.training.callbacks import (
-    EarlyStopping,
-    LambdaCallback,
-    NaNGuard,
-    ProgressPrinter,
-)
-
-
-class TestEarlyStopping:
-    def test_stops_after_patience(self):
-        cb = EarlyStopping(monitor="loss_r", patience=3, min_delta=0.0)
-        cb.on_train_start({})
-        stops = [cb.on_iteration_end(i, {"loss_r": 1.0}) for i in range(5)]
-        # first iteration improves from inf; then 3 stale -> stop at i=3
-        assert stops == [False, False, False, True, True]
-
-    def test_improvement_resets_counter(self):
-        cb = EarlyStopping(monitor="loss_r", patience=2)
-        cb.on_train_start({})
-        assert not cb.on_iteration_end(0, {"loss_r": 1.0})
-        assert not cb.on_iteration_end(1, {"loss_r": 0.5})
-        assert not cb.on_iteration_end(2, {"loss_r": 0.5})
-        assert cb.on_iteration_end(3, {"loss_r": 0.5})
-        assert cb.stopped_at == 3
-
-    def test_min_delta_counts_as_stale(self):
-        cb = EarlyStopping(monitor="loss_r", patience=1, min_delta=0.1)
-        cb.on_train_start({})
-        cb.on_iteration_end(0, {"loss_r": 1.0})
-        assert cb.on_iteration_end(1, {"loss_r": 0.95})  # < min_delta gain
-
-    def test_missing_key_raises(self):
-        cb = EarlyStopping(monitor="nope")
-        with pytest.raises(TrainingError, match="monitors"):
-            cb.on_iteration_end(0, {"loss_r": 1.0})
-
-    def test_invalid_patience(self):
-        with pytest.raises(TrainingError):
-            EarlyStopping(patience=0)
-
-    def test_restart_resets_state(self):
-        cb = EarlyStopping(patience=1)
-        cb.on_train_start({})
-        cb.on_iteration_end(0, {"loss_r": 1.0})
-        cb.on_iteration_end(1, {"loss_r": 1.0})
-        cb.on_train_start({})
-        assert cb.stale == 0
-        assert cb.stopped_at is None
+from repro.training.callbacks import NaNGuard
 
 
 class TestNaNGuard:
@@ -67,41 +20,3 @@ class TestNaNGuard:
 
     def test_ignores_missing_keys(self):
         assert not NaNGuard().on_iteration_end(0, {"accuracy": 50.0})
-
-
-class TestProgressPrinter:
-    def test_prints_every_n(self):
-        lines = []
-        cb = ProgressPrinter(every=2, sink=lines.append)
-        for i in range(5):
-            cb.on_iteration_end(i, {"loss_c": 1.0, "loss_r": 2.0})
-        assert len(lines) == 3  # iterations 0, 2, 4
-
-    def test_includes_metrics(self):
-        lines = []
-        cb = ProgressPrinter(every=1, sink=lines.append)
-        cb.on_iteration_end(0, {"loss_c": 1.5, "accuracy": 90.0})
-        assert "loss_c=1.5" in lines[0]
-        assert "accuracy=90" in lines[0]
-
-    def test_never_requests_stop(self):
-        cb = ProgressPrinter(every=1, sink=lambda _s: None)
-        assert cb.on_iteration_end(0, {}) is False
-
-    def test_invalid_every(self):
-        with pytest.raises(TrainingError):
-            ProgressPrinter(every=0)
-
-
-class TestLambdaCallback:
-    def test_wraps_function(self):
-        seen = []
-        cb = LambdaCallback(lambda i, rec: seen.append(i) or (i >= 2))
-        assert not cb.on_iteration_end(0, {})
-        assert not cb.on_iteration_end(1, {})
-        assert cb.on_iteration_end(2, {})
-        assert seen == [0, 1, 2]
-
-    def test_none_return_is_false(self):
-        cb = LambdaCallback(lambda i, rec: None)
-        assert cb.on_iteration_end(0, {}) is False

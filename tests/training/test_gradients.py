@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradient_oracle import looped_loss_and_gradient
+from gradient_oracle import InfidelityLoss, looped_loss_and_gradient
 from repro.exceptions import GradientError
 from repro.network.projection import Projection
 from repro.network.quantum_network import QuantumNetwork
@@ -15,7 +15,7 @@ from repro.training.gradients import (
     available_gradient_methods,
     loss_and_gradient,
 )
-from repro.training.loss import FidelityLoss, SquaredErrorLoss
+from repro.training.loss import SquaredErrorLoss
 
 
 def make_problem(dim=8, layers=3, m=4, seed=0, descending=False):
@@ -135,7 +135,7 @@ class TestSemantics:
 
     def test_fidelity_loss_gradient_fd_check(self):
         net, x, t = make_problem(seed=9)
-        loss = FidelityLoss("sum")
+        loss = InfidelityLoss()
         _, g_exact = loss_and_gradient(
             net, x, t, loss=loss, method="adjoint"
         )
@@ -186,7 +186,7 @@ class TestValidation:
         x = np.eye(4)[:, :3]
         t = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
         t /= np.linalg.norm(t, axis=0)
-        loss = FidelityLoss("sum")
+        loss = InfidelityLoss()
         _, g_adj = loss_and_gradient(net, x, t, loss=loss, method="adjoint")
         _, g_der = looped_loss_and_gradient(
             net, x, t, loss=loss, method="derivative"

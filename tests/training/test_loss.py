@@ -1,4 +1,4 @@
-"""Tests for repro.training.loss (Eq. 5 and variants)."""
+"""Tests for repro.training.loss (Eq. 5) and the test-only infidelity loss."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gradient_oracle import InfidelityLoss
 from repro.exceptions import DimensionError, TrainingError
-from repro.training.loss import (
-    FidelityLoss,
-    SquaredErrorLoss,
-    compression_loss,
-    reconstruction_loss,
-)
+from repro.training.loss import SquaredErrorLoss
 
 
 class TestSquaredErrorLoss:
@@ -82,29 +78,24 @@ class TestSquaredErrorLoss:
         assert loss.value(a, b) == pytest.approx(loss.value(b, a))
 
 
-class TestFidelityLoss:
+class TestInfidelityLoss:
     def test_zero_for_identical_states(self):
         s = np.array([[0.6], [0.8]])
-        assert FidelityLoss().value(s, s) == pytest.approx(0.0)
+        assert InfidelityLoss().value(s, s) == pytest.approx(0.0)
 
     def test_one_for_orthogonal_states(self):
         a = np.array([[1.0], [0.0]])
         b = np.array([[0.0], [1.0]])
-        assert FidelityLoss().value(a, b) == pytest.approx(1.0)
+        assert InfidelityLoss().value(a, b) == pytest.approx(1.0)
 
     def test_sign_invariance(self):
         """Fidelity ignores global sign — unlike the Eq. (5) loss."""
         s = np.array([[0.6], [0.8]])
-        assert FidelityLoss().value(-s, s) == pytest.approx(0.0)
+        assert InfidelityLoss().value(-s, s) == pytest.approx(0.0)
         assert SquaredErrorLoss().value(-s, s) > 0
 
-    def test_mean_reduction(self):
-        a = np.eye(2)
-        b = np.eye(2)[:, ::-1].copy()
-        assert FidelityLoss("mean").value(a, b) == pytest.approx(1.0)
-
     def test_gradient_matches_numerical(self, rng):
-        loss = FidelityLoss("sum")
+        loss = InfidelityLoss()
         out = rng.normal(size=(4, 2))
         tgt = rng.normal(size=(4, 2))
         tgt /= np.linalg.norm(tgt, axis=0)
@@ -117,32 +108,13 @@ class TestFidelityLoss:
                 num = (loss.value(bumped, tgt) - loss.value(out, tgt)) / eps
                 assert num == pytest.approx(g[i, j], abs=1e-5)
 
-    def test_invalid_reduction(self):
-        with pytest.raises(TrainingError):
-            FidelityLoss("max")
-
 
 class TestConvenience:
-    def test_compression_loss_alias(self, rng):
-        a = rng.normal(size=(4, 2))
-        b = rng.normal(size=(4, 2))
-        assert compression_loss(a, b) == pytest.approx(
-            SquaredErrorLoss("sum").value(a, b)
-        )
-
-    def test_reconstruction_loss_alias(self, rng):
-        B = rng.normal(size=(4, 2))
-        A = rng.normal(size=(4, 2))
-        assert reconstruction_loss(B, A) == pytest.approx(
-            SquaredErrorLoss("sum").value(B, A)
-        )
-
     def test_paper_loss_units(self, paper_images):
         """L_R between encoded inputs and zero output = sum of squared
         amplitudes = M (unit-norm states)."""
         from repro.encoding.amplitude import encode_batch
 
         amps = encode_batch(paper_images).amplitudes()
-        assert reconstruction_loss(np.zeros_like(amps), amps) == pytest.approx(
-            25.0
-        )
+        loss = SquaredErrorLoss("sum")
+        assert loss.value(np.zeros_like(amps), amps) == pytest.approx(25.0)

@@ -8,10 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import DimensionError
 from repro.training.metrics import (
-    batch_fidelities,
     mse,
     paper_accuracy,
-    per_sample_accuracy,
     pixel_accuracy,
     psnr,
     ssim,
@@ -46,25 +44,6 @@ class TestPixelAccuracy:
     def test_property_bounds(self, x):
         acc = pixel_accuracy(x, np.zeros(16))
         assert 0.0 <= acc <= 100.0
-
-
-class TestPerSampleAccuracy:
-    def test_per_row(self):
-        x = np.zeros((2, 4))
-        x_hat = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        out = per_sample_accuracy(x_hat, x)
-        assert out.tolist() == [100.0, 0.0]
-
-    def test_1d_promoted(self):
-        out = per_sample_accuracy(np.zeros(4), np.zeros(4))
-        assert out.shape == (1,)
-
-    def test_mean_matches_global(self, rng):
-        x = rng.random((5, 8))
-        x_hat = x + rng.normal(0, 0.02, size=x.shape)
-        assert np.mean(per_sample_accuracy(x_hat, x)) == pytest.approx(
-            pixel_accuracy(x_hat, x)
-        )
 
 
 class TestPaperAccuracy:
@@ -118,21 +97,3 @@ class TestSignalMetrics:
     def test_ssim_bounded(self, rng):
         a, b = rng.random((4, 4)), rng.random((4, 4))
         assert -1.0 <= ssim(a, b) <= 1.0
-
-
-class TestBatchFidelities:
-    def test_identical_unit_states(self, unit_batch):
-        f = batch_fidelities(unit_batch, unit_batch)
-        assert np.allclose(f, 1.0)
-
-    def test_orthogonal_states(self):
-        f = batch_fidelities(np.eye(4)[:, :2], np.eye(4)[:, 2:4])
-        assert np.allclose(f, 0.0)
-
-    def test_subnormalised_below_one(self, unit_batch):
-        f = batch_fidelities(0.5 * unit_batch, unit_batch)
-        assert np.allclose(f, 0.25)
-
-    def test_shape_validation(self):
-        with pytest.raises(DimensionError):
-            batch_fidelities(np.ones(4), np.ones(4))

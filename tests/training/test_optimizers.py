@@ -4,45 +4,20 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OptimizerError
-from repro.training.optimizers import (
-    Adam,
-    ConstantSchedule,
-    ExponentialDecay,
-    GradientDescent,
-    MomentumGD,
-    StepDecay,
-)
+from repro.training.optimizers import Adam, GradientDescent, MomentumGD
 
 
-class TestSchedules:
-    def test_constant(self):
-        s = ConstantSchedule(0.01)
-        assert s(0) == s(100) == 0.01
+class TestLearningRate:
+    @pytest.mark.parametrize("cls", [GradientDescent, MomentumGD, Adam])
+    def test_fixed_float(self, cls):
+        opt = cls(0.01)
+        opt.step(np.zeros(2), np.ones(2))
+        assert opt.lr == 0.01 and type(opt.lr) is float
 
-    def test_constant_invalid(self):
-        with pytest.raises(OptimizerError):
-            ConstantSchedule(0.0)
-        with pytest.raises(OptimizerError):
-            ConstantSchedule(-1.0)
-
-    def test_exponential(self):
-        s = ExponentialDecay(1.0, decay=0.5)
-        assert s(0) == 1.0
-        assert s(2) == pytest.approx(0.25)
-
-    def test_exponential_invalid_decay(self):
-        with pytest.raises(OptimizerError):
-            ExponentialDecay(1.0, decay=1.5)
-
-    def test_step_decay(self):
-        s = StepDecay(1.0, step_size=10, factor=0.5)
-        assert s(9) == 1.0
-        assert s(10) == 0.5
-        assert s(20) == 0.25
-
-    def test_negative_iteration_rejected(self):
-        with pytest.raises(OptimizerError):
-            ConstantSchedule(0.1)(-1)
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_lr_rejected(self, lr):
+        with pytest.raises(OptimizerError, match="positive and finite"):
+            GradientDescent(lr)
 
 
 class TestGradientDescent:
@@ -53,13 +28,14 @@ class TestGradientDescent:
         assert out.tolist() == [0.5, 2.5]
 
     def test_iteration_counter_advances(self):
-        opt = GradientDescent(ExponentialDecay(1.0, 0.5))
+        opt = GradientDescent(1.0)
         p = np.array([0.0])
         g = np.array([1.0])
-        p1 = opt.step(p, g)       # lr = 1.0
-        p2 = opt.step(p1, g)      # lr = 0.5
-        assert p1[0] == pytest.approx(-1.0)
-        assert p2[0] == pytest.approx(-1.5)
+        p1 = opt.step(p, g)
+        assert opt.t == 1
+        p2 = opt.step(p1, g)
+        assert opt.t == 2
+        assert p2[0] == pytest.approx(-2.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(OptimizerError):

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import TrainingError
 from repro.network.autoencoder import QuantumAutoencoder
 from repro.network.targets import TruncatedInputTarget, UniformSubspaceTarget
-from repro.training.callbacks import LambdaCallback
+from repro.training.callbacks import Callback
 from repro.training.optimizers import Adam, MomentumGD
 from repro.training.trainer import Trainer
 
@@ -137,7 +137,12 @@ class TestCallbacksIntegration:
     def test_early_stop_via_callback(self, tiny_problem):
         ae, X = tiny_problem
         stop_at = 3
-        cb = LambdaCallback(lambda i, rec: i >= stop_at)
+
+        class StopAt(Callback):
+            def on_iteration_end(self, iteration, record):
+                return iteration >= stop_at
+
+        cb = StopAt()
         result = Trainer(iterations=100, callbacks=[cb]).train(ae, X)
         assert result.history.num_iterations == stop_at + 1
 

@@ -6,41 +6,25 @@ import pytest
 from repro.exceptions import DimensionError
 from repro.utils.validation import (
     as_float_matrix,
-    as_float_vector,
     check_power_of_two,
-    check_probability_vector,
     num_qubits_for,
 )
 
 
-class TestAsFloatVector:
+class TestAsFloatMatrix:
     def test_list_coerced(self):
-        out = as_float_vector([1, 2, 3])
+        out = as_float_matrix([[1, 2], [3, 4]])
         assert out.dtype == np.float64
-        assert out.tolist() == [1.0, 2.0, 3.0]
-
-    def test_2d_rejected(self):
-        with pytest.raises(DimensionError, match="1-D"):
-            as_float_vector(np.zeros((2, 2)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError, match="non-empty"):
-            as_float_vector([])
-
-    def test_nan_rejected(self):
-        with pytest.raises(DimensionError, match="NaN"):
-            as_float_vector([1.0, np.nan])
+        assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_inf_rejected(self):
         with pytest.raises(DimensionError):
-            as_float_vector([np.inf])
+            as_float_matrix([[np.inf]])
 
     def test_contiguous_output(self):
-        out = as_float_vector(np.arange(10)[::2].astype(float))
+        out = as_float_matrix(np.arange(20.0).reshape(4, 5)[:, ::2])
         assert out.flags["C_CONTIGUOUS"]
 
-
-class TestAsFloatMatrix:
     def test_1d_promoted_to_row(self):
         assert as_float_matrix([1.0, 2.0]).shape == (1, 2)
 
@@ -86,21 +70,3 @@ class TestNumQubits:
     def test_invalid_raises(self):
         with pytest.raises(DimensionError):
             num_qubits_for(0)
-
-
-class TestCheckProbabilityVector:
-    def test_valid_passes(self):
-        out = check_probability_vector(np.array([0.25, 0.75]))
-        assert out.sum() == pytest.approx(1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DimensionError, match="negative"):
-            check_probability_vector(np.array([-0.1, 1.1]))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(DimensionError, match="sum to 1"):
-            check_probability_vector(np.array([0.3, 0.3]))
-
-    def test_tiny_negative_clipped(self):
-        out = check_probability_vector(np.array([1.0, -1e-12]))
-        assert np.all(out >= 0)
