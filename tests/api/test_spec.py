@@ -38,6 +38,15 @@ class TestValidation:
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
             {"seed": -1},
+            {"learning_rate": -0.01},
+            {"tile_size": 0},
+            {"tile_size": 3},
+            {"tile_transform": "wavelet"},
+            {"tile_quality": 0},
+            {"tile_quality": 101},
+            {"tile_pad": "mirror"},
+            {"code_bits": 1},
+            {"code_bits": 17},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

@@ -14,10 +14,11 @@ class TestLearningRate:
         opt.step(np.zeros(2), np.ones(2))
         assert opt.lr == 0.01 and type(opt.lr) is float
 
+    @pytest.mark.parametrize("cls", [GradientDescent, MomentumGD, Adam])
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
-    def test_invalid_lr_rejected(self, lr):
+    def test_invalid_lr_rejected(self, lr, cls):
         with pytest.raises(OptimizerError, match="positive and finite"):
-            GradientDescent(lr)
+            cls(lr)
 
 
 class TestGradientDescent:
